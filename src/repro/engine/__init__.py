@@ -22,7 +22,9 @@ execution path into three orthogonal pieces:
   per-round record construction — the hot path for campaign sweeps.
 * **Batching** (:mod:`repro.engine.batch`) — whole campaign cells execute
   as array programs: seed-independent cells replicate one representative
-  run, seed-dependent timed cells advance B kernels in lockstep over
+  run, eligible seed-dependent cells (either engine) run the generic
+  algorithm as one array program over per-run delivery masks, other
+  seed-dependent timed cells advance B kernels in lockstep over
   block-capable RNG streams, and everything else falls back to the
   per-run scalar oracle, byte for byte.
 

@@ -5,16 +5,17 @@ derived seed.  This package executes a cell as a unit — see
 :mod:`repro.engine.batch.plan` for the four execution tiers (replicate /
 columnar-state / columnar / scalar), :mod:`repro.engine.batch.scheduler`
 for the block-stream timed scheduler, :mod:`repro.engine.batch.kernel`
-for the lockstep sweep that drives B kernels round by round, and
+for the sweep that drives B timed kernels round by round, and
 :mod:`repro.engine.batch.columnar_state` for the top tier, which runs the
 generic algorithm itself as one array program over ``(B runs × n
-processes)`` state.
+processes)`` state — for seed-dependent cells of either engine.
 
 The columnar-state contracts
 ============================
 
-The columnar-state tier rests on two cell-level encodings, both proven at
-template-build time and demoted (never fudged) when unprovable:
+The columnar-state tier rests on two cell-level encodings, both proven
+when a round's template is built (before any run executes that round) and
+demoted (never fudged) when unprovable:
 
 * **Value encoding** — a cell's value alphabet is *closed*: honest initial
   values plus every payload its (inbox-free, run-invariant) Byzantine
@@ -29,11 +30,16 @@ template-build time and demoted (never fudged) when unprovable:
 * **Mask contract** — the per-run seed enters the array program **only**
   through ``(B, n, n)`` boolean delivery masks (dest-major:
   ``mask[b, dest, sender]``).  Each round's mask is produced by mirroring
-  the scalar scheduler draw for draw on the run's own two ``BlockRng``
-  streams: scenario-filter coins first (policy stream), then latency
-  samples against the round deadline (network stream).  Everything else —
-  payloads, suggestion sets, validator sets, edge lists, wall-clock
-  windows — is a per-cell template shared by all runs.
+  the scalar scheduler draw for draw on the run's own ``BlockRng``
+  streams.  A timed cell has two: scenario-filter coins first (policy
+  stream), then latency samples against the round deadline (network
+  stream).  A lockstep cell has one, the delivery policy's stream: loss
+  coins for the edges whose receiver is not Byzantine, in sender-major
+  outbound order, in ``lossy`` rounds and ``drop`` bad rounds; good
+  rounds (``Pcons`` in selection rounds, ``Pgood`` elsewhere) and
+  ``partition`` / ``silence`` rounds draw nothing and are templates.
+  Everything else — payloads, suggestion sets, validator sets, edge
+  lists, wall-clock windows — is a per-cell template shared by all runs.
 
 The per-run RNG-stream contract
 ===============================
@@ -44,7 +50,8 @@ re-partitioned one:
 
 * the timed network stream of run *b* is seeded ``seed_b``, and the
   policy/filter stream of run *b* is an independent generator also seeded
-  ``seed_b`` — precisely the two streams scalar compilation builds;
+  ``seed_b`` — precisely the two streams scalar compilation builds (a
+  lockstep run has only the policy stream);
 * bulk draws (:meth:`~repro.utils.accel.BlockRng.block`) return the next
   *k* values of that run's own stream, bit-identical to *k* successive
   ``random.Random.random()`` calls (``BlockRng`` transplants the MT19937

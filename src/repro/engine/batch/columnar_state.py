@@ -5,20 +5,23 @@ RNG/latency layer but still advances B separate kernel objects — every
 send/receive/FLV evaluation of the generic algorithm runs as per-run
 Python.  This module lifts the *algorithm state itself* into arrays for
 cells the planner proved eligible (:data:`~repro.engine.batch.plan
-.MODE_COLUMNAR_STATE`):
+.MODE_COLUMNAR_STATE`), on either engine:
 
 * the cell's value alphabet is closed and encoded as small ints
   (:func:`repro.core.columnar.encode_alphabet`);
 * votes, timestamps, histories, selections and decisions live in
   ``(B runs × n processes)`` arrays;
-* the per-run seed enters **only** through ``(B, n, n)`` delivery masks,
-  produced by mirroring the timed scheduler's fast sweep
+* the per-run seed enters **only** through ``(B, n, n)`` delivery masks.
+  Timed cells mirror the timed scheduler's fast sweep
   (:meth:`TimedScheduler._deliver_fast`), the scenario delivery filters
   and the partial-synchrony sampling paths draw for draw on two fresh
   :class:`~repro.utils.accel.BlockRng` streams per run — exactly the
   streams :func:`~repro.engine.batch.scheduler.compile_batch_scenario`
   builds (nothing is drawn at compile time, so fresh streams are equal
-  streams);
+  streams).  Lockstep cells mirror
+  :class:`~repro.engine.scheduler.LockstepScheduler` over the scenario's
+  delivery policy on one policy stream per run: loss coins are the only
+  draws, and ``Pcons`` / ``Pgood`` rounds are run-invariant templates;
 * FLV classes 1–3, ANY-resolution, validation quorums and decision
   thresholds evaluate as the counting/argmax reductions of
   :mod:`repro.core.columnar`.
@@ -26,15 +29,17 @@ cells the planner proved eligible (:data:`~repro.engine.batch.plan
 Everything that is *not* seed-dependent is a per-cell template computed
 once: Byzantine outbound payloads (the eligible strategies are inbox-free,
 so each strategy instance is driven through rounds ``1..max_rounds`` once
-and its real dict/frozenset iteration orders recorded), per-round edge
-lists, selector suggestions and validator sets, and coercion verdicts.
+and its real dict/frozenset iteration orders recorded) as ``(dest,
+sender)`` tables, per-round edge lists, selector suggestions and validator
+sets, and coercion verdicts.
 
 Fallback discipline mirrors the columnar tier: the per-run prologue maps
 resolution failures to the oracle's exact status rows; any surprise while
-building or running the array program demotes — the whole cell to the
-per-run columnar tier (``None`` return), or a single run to the scalar
-oracle (``None`` row).  Demotion costs speed, never bytes: the scalar
-kernel remains the oracle the identity suite diffs this executor against.
+building or running the array program demotes — the whole cell (``None``
+return: the per-run columnar tier for timed cells, the scalar oracle for
+lockstep ones), or a single run to the scalar oracle (``None`` row).
+Demotion costs speed, never bytes: the scalar kernel remains the oracle
+the identity suite diffs this executor against.
 """
 
 from __future__ import annotations
@@ -60,13 +65,13 @@ from repro.core.types import (
     coerce_selection_message,
     coerce_validation_message,
 )
-from repro.engine.batch.scheduler import compile_batch_scenario
 from repro.faults.registry import build_byzantine
 from repro.scenarios.compile import (
     ScenarioInapplicable,
     _memoized_schedule,
     _partition_edges,
     _partition_groups,
+    compile_scenario,
 )
 from repro.scenarios.spec import split_values
 from repro.utils.accel import BlockRng, get_numpy
@@ -78,7 +83,7 @@ Row = Dict[str, object]
 
 
 class _Demote(Exception):
-    """The cell cannot run as an array program; drop to the columnar tier."""
+    """The cell cannot run as an array program; drop a tier."""
 
 
 def _require(condition: bool, why: str) -> None:
@@ -97,9 +102,10 @@ class _RoundTemplate:
         "e_dest",
         "coin_idx",
         "sent",
-        "ok_row",
-        "svote_row",
-        "sts_row",
+        # Per-(dest, sender) payload tables; honest columns read live state.
+        "sok",
+        "svote",
+        "sts",
         "shist",
         "vsel",
         "vok",
@@ -121,6 +127,16 @@ class _RoundTemplate:
         "pending_idx",
         "all_idx",
         "none_idx",
+        # Lockstep delivery: the run-invariant part of the policy's matrix
+        # (``base``, dest-major), the coin-decided edges in draw order, the
+        # deliveries ``base`` contributes and how many sent edges it covers,
+        # and the Pcons audience of a good selection round (else ``None``).
+        "base",
+        "coin_dest",
+        "coin_send",
+        "base_delivered",
+        "base_hit",
+        "audience",
     )
 
 
@@ -132,6 +148,7 @@ class _CellProgram:
         self.model = model
         self.parameters = parameters
         self.byzantine = dict(byzantine)
+        self.lockstep = run.engine == "lockstep"
         scenario = run.scenario
         self.timing = scenario.timing
         self.comm = scenario.comm
@@ -172,7 +189,8 @@ class _CellProgram:
         self.initial_values = split_values(model, self.byzantine)
 
         self._compile_filter()
-        self._compile_timing()
+        if not self.lockstep:
+            self._compile_timing()
         self._compile_templates(config)
 
     # ------------------------------------------------------------ filters
@@ -267,98 +285,205 @@ class _CellProgram:
             pid: code[value] for pid, value in self.initial_values.items()
         }
 
-        templates: List[_RoundTemplate] = []
-        for number in range(1, self.max_rounds + 1):
-            info = self.structure.info(number)
-            rt = _RoundTemplate()
-            rt.number = number
-            rt.phase = info.phase
-            rt.kind = info.kind
-            per_round = outboxes[number]
+        self._code = code
+        self._outboxes = outboxes
+        self._suggestions = suggestions
+        self._validator_sets = validator_sets
+        self._templates: Dict[int, _RoundTemplate] = {}
 
-            senders: List[int] = []
-            dests: List[int] = []
-            if info.kind is RoundKind.SELECTION:
-                rt.ok_row = np.zeros(n, dtype=bool)
-                rt.ok_row[self.honest_pids] = True
-                rt.svote_row = np.full(n, NULL_CODE, dtype=np.int64)
-                rt.sts_row = np.zeros(n, dtype=np.int64)
-                rt.shist = {}
-            elif info.kind is RoundKind.VALIDATION:
-                validators = validator_sets[info.phase]
-                rt.val_mask = np.zeros(n, dtype=bool)
-                for pid in validators:
-                    rt.val_mask[pid] = True
-                rt.val_len = len(validators)
-                rt.vsel = np.full((n, n), NULL_CODE, dtype=np.int64)
+    def template(self, number: int) -> _RoundTemplate:
+        """Round ``number``'s template, built the first time a run needs it.
+
+        Runs usually decide long before the horizon, so rounds no run
+        reaches are never templated.
+        """
+        rt = self._templates.get(number)
+        if rt is not None:
+            return rt
+        np = self.np
+        n = self.n
+        info = self.structure.info(number)
+        rt = _RoundTemplate()
+        rt.number = number
+        rt.phase = info.phase
+        rt.kind = info.kind
+        per_round = self._outboxes[number]
+        if info.kind is RoundKind.VALIDATION:
+            validators = self._validator_sets[info.phase]
+            rt.val_mask = np.zeros(n, dtype=bool)
+            for pid in validators:
+                rt.val_mask[pid] = True
+            rt.val_len = len(validators)
+
+        # The outbound edges in the kernel's order: sender-major, each
+        # fan-out in its dict order — the order every delivery draw (timed
+        # latencies, policy and filter coins) follows.
+        senders: List[int] = []
+        dests: List[int] = []
+        for sender in range(n):
+            if sender in self.byzantine:
+                targets = list(per_round[sender])
+            elif info.kind is RoundKind.SELECTION:
+                targets = self._suggestions[info.phase]
+            elif info.kind is RoundKind.VALIDATION and not rt.val_mask[sender]:
+                targets = []
             else:
-                rt.dvote = np.full((n, n), NULL_CODE, dtype=np.int64)
-                rt.dts = np.zeros((n, n), dtype=np.int64)
-                rt.dok = np.zeros((n, n), dtype=bool)
-                rt.dok[:, self.honest_pids] = True
-
-            for sender in range(n):
-                if sender in self.byzantine:
-                    out = per_round[sender]
-                    if info.kind is RoundKind.SELECTION and out:
-                        # Pcons canonicalization: one payload per Byzantine
-                        # sender per selection round — the payload of its
-                        # first outbound edge, on both scheduler branches.
-                        canonical = next(iter(out.values()))
-                        parsed = coerce_selection_message(canonical)
-                        if parsed is not None:
-                            rt.ok_row[sender] = True
-                            rt.svote_row[sender] = _encode(code, parsed.vote)
-                            rt.sts_row[sender] = parsed.ts
-                            if self.flv_class == 3:
-                                rt.shist[sender] = _history_table(
-                                    np, parsed.history, code,
-                                    self.n_values, max_phases,
-                                )
-                    for dest, payload in out.items():
-                        senders.append(sender)
-                        dests.append(dest)
-                        if info.kind is RoundKind.VALIDATION:
-                            parsed = coerce_validation_message(payload)
-                            if parsed is not None and (
-                                parsed.select is not NULL_VALUE
-                            ):
-                                rt.vsel[dest, sender] = _encode(
-                                    code, parsed.select
-                                )
-                        elif info.kind is RoundKind.DECISION:
-                            parsed = coerce_decision_message(payload)
-                            if parsed is not None:
-                                rt.dok[dest, sender] = True
-                                rt.dvote[dest, sender] = _encode(
-                                    code, parsed.vote
-                                )
-                                rt.dts[dest, sender] = parsed.ts
-                    continue
-                if info.kind is RoundKind.SELECTION:
-                    for dest in suggestions[info.phase]:
-                        senders.append(sender)
-                        dests.append(dest)
-                elif info.kind is RoundKind.VALIDATION:
-                    if rt.val_mask[sender]:
-                        for dest in model.processes:
-                            senders.append(sender)
-                            dests.append(dest)
-                else:
-                    for dest in model.processes:
-                        senders.append(sender)
-                        dests.append(dest)
-
-            rt.e_send = np.asarray(senders, dtype=np.intp)
-            rt.e_dest = np.asarray(dests, dtype=np.intp)
-            rt.sent = len(senders)
+                targets = list(self.model.processes)
+            senders.extend([sender] * len(targets))
+            dests.extend(targets)
+        rt.e_send = np.asarray(senders, dtype=np.intp)
+        rt.e_dest = np.asarray(dests, dtype=np.intp)
+        rt.sent = len(senders)
+        rt.audience = None
+        if self.lockstep:
+            self._lockstep_delivery(rt)
+        else:
             # Which edges consume one policy coin: lossy always, good-bad
             # only when the round is bad and the behaviour is "drop"; the
             # filter short-circuits on Byzantine receivers, which draw none.
             rt.coin_idx = np.nonzero(~self.byz_col[rt.e_dest])[0]
             self._precompute_delivery(rt)
-            templates.append(rt)
-        self.templates = templates
+        self._encode_payloads(rt, per_round, self._code)
+        self._templates[number] = rt
+        return rt
+
+    def _encode_payloads(self, rt: _RoundTemplate, per_round, code) -> None:
+        """Byzantine payloads of round ``rt`` as ``(dest, sender)`` tables.
+
+        Validation and decision payloads travel as addressed.  A selection
+        payload is what the scheduler hands the receiver: on the timed
+        engine every Byzantine sender is canonicalized to the payload of
+        its first outbound edge; a lockstep ``Pcons`` round collapses it to
+        the payload addressed to the lowest audience member
+        (:func:`~repro.rounds.policies.enforce_pcons`); any other lockstep
+        round delivers it raw.
+        """
+        np = self.np
+        n = self.n
+        honest = self.honest_pids
+        if rt.kind is RoundKind.SELECTION:
+            rt.sok = np.zeros((n, n), dtype=bool)
+            rt.sok[:, honest] = True
+            rt.svote = np.full((n, n), NULL_CODE, dtype=np.int64)
+            rt.sts = np.zeros((n, n), dtype=np.int64)
+            rt.shist = {}
+        elif rt.kind is RoundKind.VALIDATION:
+            rt.vsel = np.full((n, n), NULL_CODE, dtype=np.int64)
+        else:
+            rt.dvote = np.full((n, n), NULL_CODE, dtype=np.int64)
+            rt.dts = np.zeros((n, n), dtype=np.int64)
+            rt.dok = np.zeros((n, n), dtype=bool)
+            rt.dok[:, honest] = True
+
+        for sender in self.byz_pids:
+            out = per_round[sender]
+            if not out:
+                continue
+            if rt.kind is RoundKind.SELECTION:
+                self._encode_selection(rt, sender, out, code)
+                continue
+            for dest, payload in out.items():
+                if rt.kind is RoundKind.VALIDATION:
+                    parsed = coerce_validation_message(payload)
+                    if parsed is not None and parsed.select is not NULL_VALUE:
+                        rt.vsel[dest, sender] = _encode(code, parsed.select)
+                else:
+                    parsed = coerce_decision_message(payload)
+                    if parsed is not None:
+                        rt.dok[dest, sender] = True
+                        rt.dvote[dest, sender] = _encode(code, parsed.vote)
+                        rt.dts[dest, sender] = parsed.ts
+
+    def _encode_selection(
+        self, rt: _RoundTemplate, sender: int, out, code
+    ) -> None:
+        if not self.lockstep:
+            # Pcons canonicalization on both timed scheduler branches.
+            delivered = [(slice(None), next(iter(out.values())))]
+        elif rt.audience is not None:
+            reached = [dest for dest in out if rt.audience[dest]]
+            if not reached:
+                return  # no audience member addressed: nothing delivered
+            delivered = [(slice(None), out[min(reached)])]
+        else:
+            delivered = list(out.items())
+        np = self.np
+        # Class 3 reads histories: one (V, P+1) membership table per receiver.
+        table = None
+        if self.flv_class == 3:
+            table = np.zeros(
+                (self.n, self.n_values, self.max_phases + 1), dtype=bool
+            )
+            rt.shist[sender] = table
+        for rows, payload in delivered:
+            parsed = coerce_selection_message(payload)
+            if parsed is None:
+                continue
+            rt.sok[rows, sender] = True
+            rt.svote[rows, sender] = _encode(code, parsed.vote)
+            rt.sts[rows, sender] = parsed.ts
+            if table is not None:
+                table[rows] = _history_table(
+                    np, parsed.history, code, self.n_values, self.max_phases
+                )
+
+    def _within_sides(self, rt: _RoundTemplate):
+        """Which of round ``rt``'s edges stay inside one partition side."""
+        return self.np.fromiter(
+            (
+                (int(s), int(d)) in self.partition
+                for s, d in zip(rt.e_send, rt.e_dest)
+            ),
+            dtype=bool,
+            count=rt.sent,
+        )
+
+    def _lockstep_delivery(self, rt: _RoundTemplate) -> None:
+        """The lockstep policy's matrix for round ``rt``, minus the coins.
+
+        Mirrors :func:`~repro.scenarios.compile._lockstep_policy`: good
+        rounds (every round of ``reliable``, the schedule's good rounds of
+        ``good-bad``) enforce ``Pcons`` in selection rounds and deliver
+        faithfully otherwise; ``lossy`` rounds and ``drop`` bad rounds
+        draw one coin per edge whose receiver is not Byzantine, in
+        outbound order; ``partition``, ``silence`` and ``silent`` rounds
+        draw nothing.  Byzantine receivers always get their raw traffic.
+        """
+        np = self.np
+        e_send, e_dest = rt.e_send, rt.e_dest
+        byz_dest = self.byz_col[e_dest]
+        kind = self.filter_kind
+        good = kind == "reliable" or (
+            kind == "good-bad" and self.is_good(rt.number)
+        )
+        base = np.zeros((self.n, self.n), dtype=bool)
+        coin = np.zeros(rt.sent, dtype=bool)
+        if good and rt.kind is RoundKind.SELECTION:
+            # enforce_pcons: the audience is the correct receivers correct
+            # senders address; every sender addressing one of them reaches
+            # all of them (with its canonical payload).
+            audience = np.zeros(self.n, dtype=bool)
+            audience[e_dest[self.honest_col[e_send] & ~byz_dest]] = True
+            reaches = np.zeros(self.n, dtype=bool)
+            reaches[e_send[audience[e_dest]]] = True
+            base[np.ix_(audience, reaches)] = True
+            rt.audience = audience
+            admit = byz_dest
+        elif good:
+            admit = np.ones(rt.sent, dtype=bool)
+        elif kind == "lossy" or (kind == "good-bad" and self.bad == "drop"):
+            admit = byz_dest
+            coin = ~byz_dest
+        elif kind == "good-bad" and self.bad == "partition":
+            admit = self._within_sides(rt) | byz_dest
+        else:  # silent, or a good-bad "silence" bad round
+            admit = byz_dest
+        base[e_dest[admit], e_send[admit]] = True
+        rt.base = base
+        rt.coin_dest = e_dest[coin]
+        rt.coin_send = e_send[coin]
+        rt.base_delivered = int(base.sum())
+        rt.base_hit = int(base[e_dest, e_send].sum())
 
     def _precompute_delivery(self, rt: _RoundTemplate) -> None:
         """Everything about round ``rt`` that no per-run seed can change.
@@ -403,15 +528,7 @@ class _CellProgram:
         elif self.is_good(rt.number):
             rt.admit_base = np.ones(rt.sent, dtype=bool)
         elif self.bad == "partition":
-            in_group = np.fromiter(
-                (
-                    (int(s), int(d)) in self.partition
-                    for s, d in zip(rt.e_send, rt.e_dest)
-                ),
-                dtype=bool,
-                count=rt.sent,
-            )
-            rt.admit_base = in_group | byz_dest
+            rt.admit_base = self._within_sides(rt) | byz_dest
         elif self.bad == "silence":
             rt.admit_base = byz_dest
         else:
@@ -427,6 +544,29 @@ class _CellProgram:
         )
 
     # ------------------------------------------------------ mask producer
+
+    def _lockstep_masks(
+        self, rt: _RoundTemplate, live, coins, sent, delivered, dropped
+    ):
+        """The ``(B, n, n)`` delivery masks of one lockstep round.
+
+        The template's ``base`` holds for every run; only coin-decided
+        edges differ, each run's coins coming next from its own policy
+        stream.  The counters follow the scheduler's edge-exact
+        accounting: delivered counts the matrix (``Pcons`` injections
+        included), dropped the sent edges absent from it.
+        """
+        np = self.np
+        deliv = np.repeat(rt.base[None, :, :], coins.runs, axis=0)
+        gained = 0
+        if rt.coin_dest.size:
+            admitted = coins.take(rt.coin_dest.size)[live] >= self.drop_prob
+            deliv[live[:, None], rt.coin_dest, rt.coin_send] = admitted
+            gained = admitted.sum(axis=1)
+        sent[live] += rt.sent
+        delivered[live] += rt.base_delivered + gained
+        dropped[live] += rt.sent - rt.base_hit - gained
+        return deliv
 
     def _transits(self, net, rt: _RoundTemplate, count: int):
         """The next ``count`` transit times of one run's network stream.
@@ -499,8 +639,12 @@ class _CellProgram:
 
         # Per run: a network stream and a policy stream, both seeded with
         # the run seed — exactly compile_batch_scenario's pair (nothing is
-        # drawn at compile time, so fresh streams are equal streams).
-        streams = [(BlockRng(seed), BlockRng(seed)) for seed in seeds]
+        # drawn at compile time, so fresh streams are equal streams).  A
+        # lockstep run draws from its policy stream only.
+        if self.lockstep:
+            streams = _CoinStreams(np, seeds)
+        else:
+            streams = [(BlockRng(seed), BlockRng(seed)) for seed in seeds]
         vote = np.zeros((B, n), dtype=np.int64)
         ts = np.zeros((B, n), dtype=np.int64)
         selected = np.full((B, n), NULL_CODE, dtype=np.int64)
@@ -521,42 +665,41 @@ class _CellProgram:
         delivered = np.zeros(B, dtype=np.int64)
         dropped = np.zeros(B, dtype=np.int64)
         active = np.ones(B, dtype=bool)
-        if self.max_rounds <= 0:
-            active[:] = False
 
         b_idx = np.arange(B)[:, None, None]
         b_idx2 = np.arange(B)[:, None]
-        for rt in self.templates:
+        for number in range(1, self.max_rounds + 1):
             if not active.any():
                 break
-            deadline = rt.deadline
-            deliv = np.zeros((B, n, n), dtype=bool)
-            for bi in np.nonzero(active)[0]:
-                net, pol = streams[bi]
-                on = self._delivered_edges(rt, net, pol)
-                if on.size:
-                    deliv[bi, rt.e_dest[on], rt.e_send[on]] = True
-                sent[bi] += rt.sent
-                delivered[bi] += on.size
-                dropped[bi] += rt.sent - on.size
+            rt = self.template(number)
+            live = np.nonzero(active)[0]
+            if self.lockstep:
+                deliv = self._lockstep_masks(
+                    rt, live, streams, sent, delivered, dropped
+                )
+            else:
+                deliv = np.zeros((B, n, n), dtype=bool)
+                for bi in live:
+                    net, pol = streams[bi]
+                    on = self._delivered_edges(rt, net, pol)
+                    if on.size:
+                        deliv[bi, rt.e_dest[on], rt.e_send[on]] = True
+                    sent[bi] += rt.sent
+                    delivered[bi] += on.size
+                    dropped[bi] += rt.sent - on.size
 
             upd = active[:, None] & honest_col[None, :]
             phase = rt.phase
             if rt.kind is RoundKind.SELECTION:
-                valid = deliv & rt.ok_row[None, None, :]
+                valid = deliv & rt.sok[None, :, :]
                 eff_vote = np.where(
-                    self.byz_col, rt.svote_row[None, None, :], vote[:, None, :]
+                    self.byz_col, rt.svote[None, :, :], vote[:, None, :]
                 )
-                if self.uses_ts:
-                    eff_ts = np.where(
-                        self.byz_col, rt.sts_row[None, None, :], ts[:, None, :]
-                    )
-                else:
-                    eff_ts = np.where(
-                        self.byz_col,
-                        rt.sts_row[None, None, :],
-                        np.zeros((B, 1, n), dtype=np.int64),
-                    )
+                eff_ts = np.where(
+                    self.byz_col,
+                    rt.sts[None, :, :],
+                    ts[:, None, :] if self.uses_ts else 0,
+                )
                 if self.flv_class == 1:
                     concrete, any_mask = flv_class1_columnar(
                         np, valid, eff_vote, V, self.slack
@@ -613,27 +756,30 @@ class _CellProgram:
                 fired = upd & (win >= 0) & ~decided
                 dec_value = np.where(fired, win, dec_value)
                 dec_round = np.where(fired, rt.number, dec_round)
-                dec_time = np.where(fired, deadline, dec_time)
+                if not self.lockstep:
+                    dec_time = np.where(fired, rt.deadline, dec_time)
                 decided = decided | fired
 
             rounds_exec[active] = rt.number
             all_decided = (decided | self.byz_col[None, :]).all(axis=1)
-            active = active & ~all_decided & (rt.number < self.max_rounds)
+            active = active & ~all_decided
 
         results = []
         byz_set = frozenset(self.byz_pids)
         correct = frozenset(self.honest_pids)
         for bi in range(B):
+            deciders = [pid for pid in self.honest_pids if decided[bi, pid]]
+            phases = last_time = None
+            if deciders and self.lockstep:
+                # Lockstep rows carry the phase of the last decision round;
+                # timed rows carry its time instead.
+                last = max(int(dec_round[bi, pid]) for pid in deciders)
+                phases = self.structure.info(last).phase
+            elif deciders:
+                last_time = max(float(dec_time[bi, pid]) for pid in deciders)
             decided_values = {
-                pid: self.alphabet[int(dec_value[bi, pid])]
-                for pid in self.honest_pids
-                if decided[bi, pid]
+                pid: self.alphabet[int(dec_value[bi, pid])] for pid in deciders
             }
-            times = [
-                float(dec_time[bi, pid])
-                for pid in self.honest_pids
-                if decided[bi, pid]
-            ]
             results.append(
                 {
                     "decided_values": decided_values,
@@ -642,7 +788,8 @@ class _CellProgram:
                     "correct": correct,
                     "decided": len(decided_values),
                     "rounds": int(rounds_exec[bi]),
-                    "time_to_decision": max(times) if times else None,
+                    "phases": phases,
+                    "time_to_decision": last_time,
                     "messages_sent": int(sent[bi]),
                     "messages_delivered": int(delivered[bi]),
                     "messages_dropped": int(dropped[bi]),
@@ -653,6 +800,9 @@ class _CellProgram:
     def _history_support(self, rt, valid, eff_vote, eff_ts, hist, b_idx):
         """``history_support[b, d, m]``: valid senders whose history holds
         the queried ``(vote_m, ts_m)`` pair (class-3 FLV, Algorithm 4 line 2).
+
+        A Byzantine sender's history is the one in the payload receiver
+        ``d`` got, so its table is looked up per receiver.
         """
         np = self.np
         P = self.max_phases
@@ -664,10 +814,45 @@ class _CellProgram:
             held = hist[:, sender, :][b_idx, ts_q]
             contains = in_range & (held == eff_vote)
             support += np.where(valid[:, :, sender][:, :, None], contains, False)
+        dest_q = np.arange(self.n)[None, :, None]
         for sender, table in rt.shist.items():
-            contains = in_range & table[vote_q, ts_q]
+            contains = in_range & table[dest_q, vote_q, ts_q]
             support += np.where(valid[:, :, sender][:, :, None], contains, False)
         return support
+
+
+class _CoinStreams:
+    """Every run's lockstep policy stream, drawn round-wide as ``(B, k)``.
+
+    A lockstep policy draws only loss coins, the same number in every run
+    of a round, so column ``j`` of the next ``take(k)`` is each run's own
+    next draw.  Refills draw ahead in blocks; a run that stops early
+    leaves unread draws, which nothing else consumes.
+    """
+
+    __slots__ = ("np", "runs", "_streams", "_buf", "_pos")
+
+    _REFILL = 512
+
+    def __init__(self, np, seeds: Sequence[int]) -> None:
+        self.np = np
+        self.runs = len(seeds)
+        self._streams = [BlockRng(seed) for seed in seeds]
+        self._buf = np.empty((self.runs, 0))
+        self._pos = 0
+
+    def take(self, k: int):
+        np = self.np
+        if self._pos + k > self._buf.shape[1]:
+            grow = max(k, self._REFILL)
+            fresh = np.stack([stream.block(grow) for stream in self._streams])
+            self._buf = np.concatenate(
+                (self._buf[:, self._pos :], fresh), axis=1
+            )
+            self._pos = 0
+        out = self._buf[:, self._pos : self._pos + k]
+        self._pos += k
+        return out
 
 
 def _encode(code: Dict, value) -> int:
@@ -720,10 +905,11 @@ def columnar_state_rows(
 
     Returns the oracle-identical row list (``None`` entries mark runs the
     caller must complete through the scalar oracle), or ``None`` when the
-    whole cell must demote to the per-run columnar tier — numpy absent
-    (the pure-python fallback *is* the columnar tier: same per-run
-    ``BlockRng`` streams, scalar draws) or a template assumption the
-    planner could not see failing at build time.
+    whole cell must demote a tier — numpy absent or a template assumption
+    the planner could not see failing at build time.  A timed cell then
+    runs on the per-run columnar tier (whose pure-python fallback uses the
+    same per-run ``BlockRng`` streams, drawn as scalars); a lockstep cell
+    on the scalar oracle.
     """
     np = get_numpy()
     if np is None:
@@ -784,7 +970,9 @@ def columnar_state_rows(
                 try:
                     compiled_outcome = (
                         "ok",
-                        compile_batch_scenario(run.scenario, model, run.seed),
+                        compile_scenario(
+                            run.scenario, model, run.engine, run.seed
+                        ),
                     )
                 except ScenarioInapplicable as exc:
                     compiled_outcome = ("inapplicable", str(exc))
@@ -826,7 +1014,7 @@ def columnar_state_rows(
         row.update(
             decided=result["decided"],
             rounds=result["rounds"],
-            phases=None,  # timed-only tier; phases is a lockstep metric
+            phases=result["phases"],
             time_to_decision=result["time_to_decision"],
             messages_sent=result["messages_sent"],
             messages_delivered=result["messages_delivered"],

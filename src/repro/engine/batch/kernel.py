@@ -10,7 +10,8 @@ produces exactly the rows the scalar oracle
 * columnar-state tier — execute the whole cell as one array program over
   ``(B runs × n processes)`` state (:mod:`repro.engine.batch
   .columnar_state`), the per-run seed entering only through delivery
-  masks; any build-time surprise demotes the cell to the columnar tier;
+  masks; any build-time surprise demotes a timed cell to the columnar
+  tier and a lockstep cell to the scalar oracle;
 * columnar tier — drive B timed kernels round by round in lockstep, each
   over its own block-capable RNG streams (bulk latency draws), finalizing
   each run the moment its stop condition fires;
@@ -112,9 +113,9 @@ def run_batch(
         elif plan.mode in (MODE_COLUMNAR, MODE_COLUMNAR_STATE):
             if telemetry is not None:
                 with telemetry.span("scheduler.batch"):
-                    rows, tier = _timed_rows(runs, plan.mode)
+                    rows, tier = _array_rows(runs, plan.mode)
             else:
-                rows, tier = _timed_rows(runs, plan.mode)
+                rows, tier = _array_rows(runs, plan.mode)
     except Exception:
         rows = None
 
@@ -140,19 +141,23 @@ def run_batch(
     return rows  # type: ignore[return-value]
 
 
-def _timed_rows(
+def _array_rows(
     runs: Sequence[RunSpec], mode: str
 ) -> Tuple[Optional[List[Optional[Row]]], str]:
-    """The timed tiers' row production, with the telemetry counter earned.
+    """The array tiers' row production, with the telemetry counter earned.
 
     The columnar-state tier may demote the whole cell (``None`` result —
-    numpy absent or a template assumption failed at build time), in which
-    case the cell runs — and is counted — as the per-run columnar tier.
+    numpy absent or a template assumption failed at build time).  A timed
+    cell then runs — and is counted — as the per-run columnar tier; the
+    columnar tier is timed-only, so a lockstep cell goes straight to the
+    scalar oracle (``None`` rows).
     """
     if mode == MODE_COLUMNAR_STATE:
         rows = columnar_state_rows(runs)
         if rows is not None:
             return rows, "batch.columnar_state_rows"
+    if runs[0].engine != "timed":
+        return None, "batch.columnar_rows"
     return _columnar_rows(runs), "batch.columnar_rows"
 
 
@@ -203,7 +208,9 @@ def _columnar_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
     replays :meth:`ExecutionKernel.run`'s step-then-check semantics per
     kernel, so early-stopping runs finalize on exactly the same round.
     ``None`` entries mark rows the caller must complete through the
-    oracle.
+    oracle — and so does every run whose engine is not ``timed``: the
+    sweep compiles the timed scheduler, which must never stand in for
+    another engine.
     """
     from repro.campaigns.runner import (
         STATUS_ERROR,
@@ -216,6 +223,8 @@ def _columnar_rows(runs: Sequence[RunSpec]) -> List[Optional[Row]]:
     rows: List[Optional[Row]] = [None] * len(runs)
     states: List[_RowState] = []
     for index, run in enumerate(runs):
+        if run.engine != "timed":
+            continue  # oracle fallback
         row = _base_row(run)
         try:
             model = FaultModel(run.n, run.b, run.f)
@@ -329,7 +338,7 @@ def _finalize(state: _RowState) -> Optional[Row]:
         row.update(
             decided=len(outcome.decisions),
             rounds=outcome.rounds_executed,
-            phases=None,  # columnar is timed-only; phases is a lockstep metric
+            phases=None,  # the columnar tier is timed-only: no phase metric
             time_to_decision=outcome.last_decision_time,
             messages_sent=outcome.messages_sent,
             messages_delivered=outcome.messages_delivered,

@@ -13,13 +13,16 @@ run executes, how much of that structure the batch kernel may exploit:
   per repetition with only ``run_id`` / ``rep`` / ``seed`` patched.  This
   is the dominant tier for the paper's Table-1 sweeps and delivers the
   order-of-magnitude batch speedup.
-* :data:`MODE_COLUMNAR_STATE` — seed-dependent timed cells whose *entire
-  generic algorithm* is provably expressible as an array program over
-  ``(B runs × n processes)`` state: the value alphabet is closed and
-  encodable as small ints, the FLV is one of the paper's classes 1–3, the
-  Selector is pid-independent, Byzantine payloads are run-invariant, and
-  the per-run seed enters only through ``(B, n, n)`` delivery masks.  One
-  array program advances every run's votes/timestamps/decisions at once
+* :data:`MODE_COLUMNAR_STATE` — seed-dependent cells, on either engine,
+  whose *entire generic algorithm* is provably expressible as an array
+  program over ``(B runs × n processes)`` state: the value alphabet is
+  closed and encodable as small ints, the FLV is one of the paper's
+  classes 1–3, the Selector is pid-independent, Byzantine payloads are
+  run-invariant, and the per-run seed enters only through ``(B, n, n)``
+  delivery masks — latency and filter draws on the timed engine, the
+  delivery policy's loss coins on the lockstep engine (lossy channels
+  and the bad rounds of good/bad schedules).  One array program advances
+  every run's votes/timestamps/decisions at once
   (:mod:`repro.engine.batch.columnar_state`); the scalar kernel remains
   the oracle it is checked against.
 * :data:`MODE_COLUMNAR` — other timed-engine cells whose outcome depends
@@ -27,10 +30,11 @@ run executes, how much of that structure the batch kernel may exploit:
   but they are block-capable (:class:`~repro.utils.accel.BlockRng`), so
   every round's latency draws collapse into a handful of array ops while
   the B kernels advance in lockstep.
-* :data:`MODE_SCALAR` — everything else (stochastic lockstep policies,
-  ``async-prel``, randomized coins, unknown Byzantine strategies, the
+* :data:`MODE_SCALAR` — everything else (lockstep cells the array program
+  cannot prove — inbox-reading strategies, crash schedules,
+  ``async-prel`` — randomized coins, unknown Byzantine strategies, the
   ``REPRO_SLOW_SCHEDULER`` escape hatch): fall back to the per-run scalar
-  oracle, byte for byte.
+  oracle, byte for byte.  The plan's reason names the blocking clause.
 
 The classification is deliberately conservative: anything the rules cannot
 prove seed-independent or block-safe drops a tier.  Misclassifying *down*
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.campaigns.spec import RunSpec
 from repro.engine.scheduler import SLOW_SCHEDULER_ENV
@@ -138,19 +143,21 @@ def _timed_delivery_deterministic(timing: NetworkSpec) -> bool:
     return min(max_latency, timing.delta) <= timing.round_duration
 
 
-def _columnar_state_eligible(
+def _columnar_state_blocker(
     scenario: ScenarioSpec, parameters: object, config: object
-) -> bool:
-    """True when a seed-dependent timed cell can run as one array program.
+) -> Optional[str]:
+    """Why a seed-dependent cell cannot run as one array program, or ``None``.
 
     Every clause guards an assumption the columnar-state executor bakes
-    into its per-cell templates; anything unprovable here demotes to the
-    per-run columnar tier (cost: speed, never bytes):
+    into its per-cell templates, on either engine; the first one that
+    fails is returned as the reason the cell drops a tier (cost: speed,
+    never bytes):
 
+    * resolved algorithm parameters — without them nothing is provable;
     * no crashes — the array program has no crash schedule;
     * only inbox-free Byzantine strategies — payloads precompute per cell;
-    * a comm kind whose per-round filter reduces to per-edge booleans
-      (``async-prel`` is timed-inapplicable anyway);
+    * a comm kind whose per-round delivery reduces to per-edge booleans
+      (``async-prel`` picks per-receiver subsets);
     * an FLV that is exactly one of the paper's classes 1–3 — the columnar
       evaluators in :mod:`repro.core.columnar` mirror Algorithms 2–4 only;
     * a pid-independent Selector (suggestion sets depend on the phase, not
@@ -171,17 +178,18 @@ def _columnar_state_eligible(
         RotatingSubsetSelector,
     )
 
+    if parameters is None:
+        return "algorithm parameters unresolved"
     if scenario.crashes != 0:
-        return False
-    if any(
-        name not in COLUMNAR_STATE_STRATEGIES for name in scenario.byzantine
-    ):
-        return False
+        return "crash schedule"
+    for name in scenario.byzantine:
+        if name not in COLUMNAR_STATE_STRATEGIES:
+            return f"strategy {name!r} reads its inbox"
     if scenario.comm.kind not in ("reliable", "lossy", "silent", "good-bad"):
-        return False
+        return f"comm kind {scenario.comm.kind!r} has no mask form"
     flv = getattr(parameters, "flv", None)
     if type(flv) not in (FLVClass1, FLVClass2, FLVClass3):
-        return False
+        return f"FLV {type(flv).__name__} outside classes 1-3"
     selector = getattr(parameters, "selector", None)
     if type(selector) not in (
         AllProcessesSelector,
@@ -189,13 +197,13 @@ def _columnar_state_eligible(
         RotatingSubsetSelector,
         RotatingCoordinatorSelector,
     ):
-        return False
+        return f"selector {type(selector).__name__} is pid-dependent"
     if getattr(config, "skip_first_selection", False):
-        return False
+        return "skip_first_selection"
     if getattr(config, "record_validation_in_history", False):
-        return False
+        return "record_validation_in_history"
     if getattr(config, "max_history_size", None) is not None:
-        return False
+        return "bounded history"
     if parameters.flag.needs_validation_round:
         static = (
             config.uses_static_selector(selector)
@@ -203,8 +211,8 @@ def _columnar_state_eligible(
             else selector.is_static
         )
         if not static:
-            return False
-    return True
+            return "validation round without a static selector"
+    return None
 
 
 def plan_cell(
@@ -222,7 +230,7 @@ def plan_cell(
     :class:`~repro.core.parameters.ConsensusParameters` — required for the
     columnar-state tier (without it the planner cannot prove the FLV /
     Selector expressible as reductions, so seed-dependent timed cells stay
-    on the per-run columnar tier).
+    on the per-run columnar tier and lockstep ones on the scalar oracle).
     """
     if getattr(config, "coin", None) is not None:
         return BatchPlan(MODE_SCALAR, "randomized coin consumes per-run seed")
@@ -247,16 +255,18 @@ def plan_cell(
             return BatchPlan(
                 MODE_SCALAR, "REPRO_SLOW_SCHEDULER forces the heap oracle"
             )
-        if parameters is not None and _columnar_state_eligible(
-            scenario, parameters, config
-        ):
-            return BatchPlan(
-                MODE_COLUMNAR_STATE,
-                "generic algorithm runs as one (runs × processes) "
-                "array program over delivery masks",
-            )
-        return BatchPlan(MODE_COLUMNAR, "seed-dependent timed delivery")
-    return BatchPlan(MODE_SCALAR, "stochastic lockstep policy")
+    blocker = _columnar_state_blocker(scenario, parameters, config)
+    if blocker is None:
+        return BatchPlan(
+            MODE_COLUMNAR_STATE,
+            "generic algorithm runs as one (runs × processes) "
+            "array program over delivery masks",
+        )
+    if engine == "timed":
+        return BatchPlan(
+            MODE_COLUMNAR, f"seed-dependent timed delivery; {blocker}"
+        )
+    return BatchPlan(MODE_SCALAR, blocker)
 
 
 def plan_for_run(run: RunSpec) -> BatchPlan:

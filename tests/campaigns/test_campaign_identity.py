@@ -142,9 +142,16 @@ def test_gauntlet_exercises_columnar_state_tier():
     The byte-identity claims are only as strong as the tiers the gauntlet
     actually dispatches through: if planner eligibility ever regressed and
     every seed-dependent timed cell silently demoted to columnar/scalar,
-    the suite would pass vacuously.  Pin the gauntlet to keep cells on the
-    columnar-state tier (and on every other tier).
+    the suite would pass vacuously.  Pin the gauntlet's per-tier cell
+    counts, as ``repro campaign plan gauntlet`` reports them: the
+    stochastic lockstep cells (``flaky_gst`` / ``lossy_channel``) run on
+    the columnar-state tier next to their timed twins, and the scalar
+    cells left are the inadmissible class-1 (7,1,1) cells and the
+    lockstep ``async_then_sync`` cells, whose ``adaptive-liar`` reads its
+    inbox.
     """
+    from collections import Counter
+
     from repro.engine.batch import (
         MODE_COLUMNAR,
         MODE_COLUMNAR_STATE,
@@ -153,9 +160,12 @@ def test_gauntlet_exercises_columnar_state_tier():
         plan_for_run,
     )
 
-    modes = {plan_for_run(run).mode for run in GAUNTLET.iter_runs()}
-    assert modes == {
-        MODE_REPLICATE, MODE_COLUMNAR_STATE, MODE_COLUMNAR, MODE_SCALAR
+    tiers = Counter(plan_for_run(run).mode for run in GAUNTLET.iter_runs())
+    assert tiers == {
+        MODE_REPLICATE: 50,
+        MODE_COLUMNAR_STATE: 20,
+        MODE_COLUMNAR: 5,
+        MODE_SCALAR: 21,
     }
 
 
@@ -222,3 +232,114 @@ def test_forced_columnar_state_cell_matches_scalar_oracle(byz_lossy_scenario):
     finally:
         del os.environ["REPRO_NO_NUMPY"]
     assert fallback == scalar
+
+
+#: Lockstep cells whose delivery masks exercise every policy clause the
+#: columnar-state tier mirrors: per-edge loss coins under equivocation,
+#: good-bad ``drop`` bad rounds next to good selection rounds (where Pcons
+#: collapses the equivocator to one canonical payload), and the draw-free
+#: ``partition`` / ``silence`` bad rounds.
+LOCKSTEP_MASK_SCENARIOS = {
+    "lossy": dict(
+        byzantine=("equivocator", "high-ts-liar"),
+        comm=dict(kind="lossy", drop_prob=0.2),
+    ),
+    "drop": dict(
+        byzantine=("equivocator",),
+        comm=dict(
+            kind="good-bad", schedule="alternating", good_len=2, bad_len=1,
+            bad="drop", drop_prob=0.5,
+        ),
+    ),
+    "partition": dict(
+        byzantine=("equivocator", "fake-history-liar"),
+        comm=dict(
+            kind="good-bad", schedule="after", good_from=6, bad="partition"
+        ),
+    ),
+    "silence": dict(
+        byzantine=("vote-flipper", "equivocator"),
+        comm=dict(
+            kind="good-bad", schedule="after", good_from=5, bad="silence"
+        ),
+    ),
+}
+
+
+@pytest.fixture
+def lockstep_mask_scenario(request):
+    """One synthetic lockstep scenario, registered for one test.
+
+    Registered/unregistered by hand like ``byz_lossy_scenario``: the
+    registry is process-global and must not leak into other tests.
+    """
+    from repro.scenarios import CommSpec, ScenarioSpec, register_scenario
+    from repro.scenarios.registry import SCENARIO_REGISTRY
+
+    shape = LOCKSTEP_MASK_SCENARIOS[request.param]
+    spec = ScenarioSpec(
+        name=f"lockstep_{request.param}_identity",
+        byzantine=shape["byzantine"],
+        comm=CommSpec(**shape["comm"]),
+        max_phases=15,
+    )
+    register_scenario(spec)
+    try:
+        yield spec
+    finally:
+        del SCENARIO_REGISTRY[spec.name]
+
+
+@pytest.mark.parametrize("numpy", ["accel", "pure-python"])
+@pytest.mark.parametrize(
+    "lockstep_mask_scenario", sorted(LOCKSTEP_MASK_SCENARIOS), indirect=True
+)
+def test_forced_lockstep_columnar_state_matches_scalar_oracle(
+    monkeypatch, lockstep_mask_scenario, numpy
+):
+    """Lockstep delivery masks vs the oracle, classes 1/2/3, byte for byte.
+
+    Every cell is forced onto the columnar-state tier (the draw-free
+    ``partition`` / ``silence`` cells would otherwise replicate); without
+    numpy the tier demotes straight to the scalar oracle.
+    """
+    from itertools import groupby
+
+    from repro.campaigns import CampaignSpec
+    from repro.campaigns.runner import execute_run
+    from repro.engine.batch import (
+        MODE_COLUMNAR_STATE,
+        MODE_REPLICATE,
+        BatchPlan,
+        cell_key,
+        plan_for_run,
+        run_batch,
+    )
+    from repro.utils.accel import get_numpy
+
+    if numpy == "pure-python":
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    spec = CampaignSpec(
+        name="lockstep-masks-forced",
+        algorithms=("class-1", "class-2", "class-3"),
+        models=((11, 2, 0),),
+        engines=("lockstep",),
+        scenarios=(lockstep_mask_scenario.name,),
+        repetitions=6,
+        seed=13,
+    )
+    runs = list(spec.iter_runs())
+    # The coin-drawing cells reach the tier through the planner itself.
+    comm = lockstep_mask_scenario.comm
+    draws = comm.kind == "lossy" or comm.bad == "drop"
+    planned = MODE_COLUMNAR_STATE if draws else MODE_REPLICATE
+    assert {plan_for_run(run).mode for run in runs} == {planned}
+    forced = BatchPlan(MODE_COLUMNAR_STATE, "forced")
+    rows = []
+    for _, cell in groupby(runs, key=cell_key):
+        rows.extend(run_batch(list(cell), plan=forced))
+    scalar = canonical([execute_run(run) for run in runs])
+    assert all('"status": "ok"' in line for line in scalar)
+    assert canonical(rows) == scalar
+    tier = "columnar-state" if get_numpy() is not None else "scalar"
+    assert {row["_backend"] for row in rows} == {tier}

@@ -31,12 +31,14 @@ from repro.engine.batch import (
     MODE_COLUMNAR_STATE,
     MODE_REPLICATE,
     MODE_SCALAR,
+    BatchPlan,
     cell_key,
     plan_cell,
     plan_for_run,
     run_batch,
 )
 from repro.eventsim.network import NetworkSpec, UniformLatency
+from repro.scenarios import CommSpec
 from repro.scenarios.registry import get_scenario
 from repro.utils.accel import BlockRng, get_numpy
 
@@ -168,6 +170,38 @@ def test_plan_unknown_strategy_forces_scalar():
     assert plan_cell(scenario, "lockstep").mode == MODE_SCALAR
 
 
+def test_plan_scalar_reason_names_the_blocking_clause():
+    """A lockstep cell left on the oracle says which clause kept it there."""
+    from repro.campaigns.runner import _resolve_algorithm_memo
+    from repro.core.types import FaultModel
+
+    parameters, config = _resolve_algorithm_memo("class-2", FaultModel(7, 1, 1))
+    cases = {
+        "async_then_sync": "strategy 'adaptive-liar' reads its inbox",
+        "lossy_channel": None,
+    }
+    for name, reason in cases.items():
+        plan = plan_cell(get_scenario(name), "lockstep", config, parameters)
+        if reason is None:
+            assert plan.mode == MODE_COLUMNAR_STATE, plan
+        else:
+            assert plan == BatchPlan(MODE_SCALAR, reason)
+    crashing = dataclasses.replace(get_scenario("lossy_channel"), crashes=1)
+    assert plan_cell(crashing, "lockstep", config, parameters).reason == (
+        "crash schedule"
+    )
+    prel = dataclasses.replace(
+        get_scenario("lossy_channel"), comm=CommSpec(kind="async-prel")
+    )
+    assert plan_cell(prel, "lockstep", config, parameters).reason == (
+        "comm kind 'async-prel' has no mask form"
+    )
+    # Without resolved parameters nothing is provable.
+    assert plan_cell(get_scenario("lossy_channel"), "lockstep").reason == (
+        "algorithm parameters unresolved"
+    )
+
+
 def test_plan_slow_scheduler_env_forces_scalar_on_columnar(monkeypatch):
     scenario = get_scenario("lossy_channel")
     monkeypatch.setenv("REPRO_SLOW_SCHEDULER", "1")
@@ -207,9 +241,12 @@ def _assert_rows_match_oracle(runs, rows):
         ("partition_heal", "timed", MODE_REPLICATE),
         ("flaky_gst", "timed", MODE_COLUMNAR_STATE),
         ("lossy_channel", "timed", MODE_COLUMNAR_STATE),
-        ("lossy_channel", "lockstep", MODE_SCALAR),
-        # adaptive-liar reads its inbox, so the cell stays per-run columnar.
+        ("lossy_channel", "lockstep", MODE_COLUMNAR_STATE),
+        ("flaky_gst", "lockstep", MODE_COLUMNAR_STATE),
+        # adaptive-liar reads its inbox, so the cell stays per-run columnar
+        # on the timed engine and on the scalar oracle in lockstep.
         ("async_then_sync", "timed", MODE_COLUMNAR),
+        ("async_then_sync", "lockstep", MODE_SCALAR),
     ],
 )
 def test_run_batch_matches_oracle(scenario, engine, expected_mode):
@@ -264,7 +301,7 @@ def test_run_batch_counts_telemetry():
     assert "scheduler.batch" in telemetry.span_names
 
     telemetry = Telemetry()
-    run_batch(_cell_runs("lossy_channel", "lockstep", repetitions=4),
+    run_batch(_cell_runs("async_then_sync", "lockstep", repetitions=4),
               telemetry=telemetry)
     assert telemetry.counters["batch.fallback_scalar"] == 4
 

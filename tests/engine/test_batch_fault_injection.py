@@ -112,6 +112,68 @@ def test_columnar_row_loop_exception_demotes_to_scalar(
     assert telemetry.counters["batch.fallback_scalar"] == len(runs)
 
 
+@pytest.fixture()
+def lockstep_columnar_state_runs(byz_lossy_scenario):
+    """A lockstep cell planned onto the columnar-state tier."""
+    spec = CampaignSpec(
+        name="byz-lossy-lockstep-fault-injection",
+        algorithms=("class-2",),
+        models=((11, 2, 1),),
+        engines=("lockstep",),
+        scenarios=(byz_lossy_scenario.name,),
+        repetitions=6,
+        seed=13,
+    )
+    runs = tuple(spec.iter_runs())
+    assert all(plan_for_run(run).mode == MODE_COLUMNAR_STATE for run in runs)
+    return runs
+
+
+@pytest.mark.parametrize("failure", ["returns-none", "raises"])
+def test_lockstep_columnar_state_demotes_to_scalar_oracle(
+    monkeypatch, lockstep_columnar_state_runs, failure
+):
+    """A demoting lockstep cell skips the timed-only columnar tier.
+
+    Whether the array program gives up (``None``) or blows up, the cell
+    must re-execute on the scalar oracle — never through the columnar
+    sweep, which compiles the timed engine and would emit timed rows.
+    """
+    runs = lockstep_columnar_state_runs
+
+    def failing(_runs):
+        if failure == "raises":
+            raise RuntimeError("injected: lockstep template broke")
+        return None
+
+    sweeps = []
+
+    def spy(runs_):
+        sweeps.append(runs_)
+        raise AssertionError("the columnar sweep ran a lockstep cell")
+
+    monkeypatch.setattr("repro.engine.batch.kernel.columnar_state_rows", failing)
+    monkeypatch.setattr("repro.engine.batch.kernel._columnar_rows", spy)
+    oracle = canonical(execute_chunk(runs, False, "scalar"))
+    telemetry = Telemetry()
+    rows = run_batch(runs, telemetry=telemetry)
+    assert canonical(rows) == oracle
+    assert all(row["_backend"] == "scalar" for row in rows)
+    assert sweeps == []
+    assert telemetry.counters["batch.fallback_scalar"] == len(runs)
+    assert "batch.columnar_rows" not in telemetry.counters
+
+
+def test_columnar_sweep_leaves_non_timed_runs_to_the_oracle(
+    lockstep_columnar_state_runs,
+):
+    """Called on lockstep runs anyway, the sweep fabricates nothing."""
+    from repro.engine.batch.kernel import _columnar_rows
+
+    runs = lockstep_columnar_state_runs
+    assert _columnar_rows(runs) == [None] * len(runs)
+
+
 def test_replicate_exception_demotes_to_scalar(monkeypatch):
     """The replicate tier's fault injection: same demotion contract."""
     spec = CampaignSpec(
