@@ -1042,18 +1042,25 @@ def _cmd_fuzz_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
+    # Findings are judged over the whole corpus: a resumed session also
+    # answers for the records the interrupted one left behind.
+    by_kind = summary.corpus_by_kind
+    findings = sum(by_kind.values())
     kinds = ", ".join(
-        f"{kind}: {count}" for kind, count in sorted(summary.by_kind.items())
+        f"{kind}: {count}" for kind, count in sorted(by_kind.items())
     )
+    carried = sum(summary.carried.values())
     print(
         f"fuzzed {config.budget} candidates ({summary.executed} executed, "
-        f"{summary.duplicates} duplicate(s), {summary.skipped} skipped): "
-        f"{summary.findings} finding(s)"
+        f"{summary.duplicates} duplicate(s), {summary.skipped} skipped; "
+        f"{summary.runs} run(s) incl. shrinking, {summary.reused} reused): "
+        f"{findings} finding(s)"
         + (f" [{kinds}]" if kinds else "")
+        + (f" ({carried} carried over)" if carried else "")
         + f" -> {out}",
         file=sys.stderr,
     )
-    if args.fail_on_finding and summary.findings:
+    if args.fail_on_finding and findings:
         return 1
     return 0
 
@@ -1115,8 +1122,8 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
 def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     from repro.fuzz import (
         FuzzCandidate,
+        VerdictMemo,
         candidate_seed,
-        classify_candidate,
         shrink_candidate,
     )
 
@@ -1127,12 +1134,16 @@ def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     candidate = FuzzCandidate.from_mapping(record["candidate"])
     fuzz_seed = int(record["fuzz_seed"])
     mode = "allow" if record.get("over_bound") else "never"
+    # One memo for the shrink and the re-check below: once any step is
+    # accepted, the minimal candidate's verdict is already in it.
+    memo = VerdictMemo()
     result = shrink_candidate(
         candidate,
         kind,
         fuzz_seed=fuzz_seed,
         over_bound=mode,
         max_attempts=args.shrink_attempts,
+        memo=memo,
     )
     print(f"original: {candidate.key()}")
     print(f"shrunk:   {result.candidate.key()}")
@@ -1141,7 +1152,7 @@ def _cmd_fuzz_shrink(args: argparse.Namespace) -> int:
     )
     for op in result.ops:
         print(f"  - {op}")
-    verdict = classify_candidate(
+    verdict = memo(
         result.candidate,
         candidate_seed(fuzz_seed, result.candidate),
         over_bound=mode,

@@ -44,7 +44,7 @@ from repro.fuzz.runner import (
     replay_finding,
     run_fuzz,
 )
-from repro.fuzz.shrink import ShrinkResult, shrink_candidate
+from repro.fuzz.shrink import ShrinkResult, VerdictMemo, shrink_candidate
 from repro.fuzz.space import (
     DEFAULT_ALGORITHMS,
     DEFAULT_STRATEGIES,
@@ -68,6 +68,7 @@ __all__ = [
     "OVER_BOUND_MODES",
     "ShrinkResult",
     "Verdict",
+    "VerdictMemo",
     "boundary_parameters",
     "build_record",
     "candidate_at",

@@ -15,10 +15,21 @@ Findings are shrunk immediately (:mod:`repro.fuzz.shrink`), appended to the
 JSONL corpus, and acknowledged in the state file *after* the append — the
 crash window between the two is healed on resume by truncating
 unacknowledged records (see :mod:`repro.fuzz.corpus`).
+
+Each :func:`run_fuzz` call owns one :class:`~repro.fuzz.shrink.VerdictMemo`
+shared by the loop and every shrink, so each distinct run executes once per
+hunt: shrinks of related findings converge on the same minimal specs, and
+shrink proposals land on candidates the loop already ran.  The memo is
+keyed by ``(candidate, seed, over_bound)`` — the frozen candidate value,
+not ``candidate.key()``, which can map two distinct specs to one string
+(``:g``-formatted floats, no scenario name).  It never outlives the call:
+a resumed session starts empty and re-executes what the interrupted one
+had cached, which changes its cost, never its output.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
@@ -39,7 +50,7 @@ from repro.fuzz.corpus import (
     truncate_findings,
     write_state,
 )
-from repro.fuzz.shrink import DEFAULT_MAX_ATTEMPTS, shrink_candidate
+from repro.fuzz.shrink import DEFAULT_MAX_ATTEMPTS, VerdictMemo, shrink_candidate
 from repro.fuzz.space import FuzzCandidate, FuzzSpace, generate, mutate
 
 #: Called after each candidate with ``(index, budget, findings_so_far)``.
@@ -131,7 +142,12 @@ def replay_finding(
 
 @dataclass
 class FuzzSummary:
-    """What one (possibly partial) fuzz session did."""
+    """What one (possibly partial) fuzz session did.
+
+    Counts are this session's; ``carried`` holds the findings a resumed
+    session found already in the corpus, so ``corpus_by_kind`` describes
+    the whole corpus.
+    """
 
     executed: int = 0
     duplicates: int = 0
@@ -139,8 +155,16 @@ class FuzzSummary:
     ok: int = 0
     findings: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
+    carried: Dict[str, int] = field(default_factory=dict)
+    runs: int = 0  # distinct executions, loop and shrinking
+    reused: int = 0  # executions answered by the hunt's verdict memo
     interrupted: bool = False  # --stop-after tripped (checkpoint retained)
     next_index: int = 0
+
+    @property
+    def corpus_by_kind(self) -> Dict[str, int]:
+        """Findings per kind in the whole corpus, carried plus new."""
+        return dict(Counter(self.carried) + Counter(self.by_kind))
 
 
 def _fresh_state(config: FuzzConfig, next_index: int, findings: int) -> Dict[str, object]:
@@ -237,6 +261,7 @@ def run_fuzz(
         _validate_state(config, state)
         start = int(state["next"])
         records = truncate_findings(out_path, start)
+        summary.carried = dict(Counter(str(r["kind"]) for r in records))
         seen, sources = _rebuild_history(config, start, records)
     elif sidecar.exists():
         raise FileExistsError(
@@ -248,6 +273,7 @@ def run_fuzz(
         write_state(sidecar, _fresh_state(config, 0, 0))
 
     summary.next_index = start
+    memo = VerdictMemo()
     with FindingLog(out_path, append=resume) as log:
         for index in range(start, config.budget):
             candidate = candidate_at(config, index, sources)
@@ -256,7 +282,7 @@ def run_fuzz(
                 summary.duplicates += 1
             else:
                 seen.add(key)
-                verdict = classify_candidate(
+                verdict = memo(
                     candidate,
                     candidate_seed(config.seed, candidate),
                     over_bound=config.over_bound,
@@ -271,6 +297,7 @@ def run_fuzz(
                             fuzz_seed=config.seed,
                             over_bound=config.over_bound,
                             max_attempts=config.shrink_attempts,
+                            memo=memo,
                         )
                         record["shrunk"] = shrunk.candidate.to_mapping()
                         record["shrunk_key"] = shrunk.candidate.key()
@@ -293,6 +320,7 @@ def run_fuzz(
             # durably in the corpus: the crash window leaves at most one
             # unacknowledged record, healed by truncation on resume.
             summary.next_index = index + 1
+            summary.runs, summary.reused = memo.runs, memo.reused
             write_state(
                 sidecar, _fresh_state(config, index + 1, len(records))
             )

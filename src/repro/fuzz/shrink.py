@@ -24,15 +24,26 @@ re-runs on every proposal) that still exhibits the finding — the shrinker
 invariants the test suite checks.  The phase budget is never reduced:
 shrinking the horizon would manufacture liveness "findings" out of thin
 air.
+
+Every reproduction attempt goes through a :class:`VerdictMemo`, so a run
+already executed in the same hunt (by the fuzz loop, an earlier shrink or
+an earlier step of this one) is looked up instead of re-executed.  The
+memo key is ``(candidate, seed, over_bound)`` with the frozen
+:class:`~repro.fuzz.space.FuzzCandidate` *value*, not its ``key()``
+string: ``key()`` formats floats with ``:g`` and leaves out the scenario
+name, so two distinct specs can share one key string, and a memo keyed by
+it could hand one the other's verdict.  Seeds are content-derived and
+execution is deterministic, so a hit is exactly the verdict a
+re-execution would return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.eventsim.network import NetworkSpec
-from repro.fuzz.classify import candidate_seed, classify_candidate
+from repro.fuzz.classify import Verdict, candidate_seed, classify_candidate
 from repro.fuzz.space import FuzzCandidate
 from repro.scenarios.spec import CommSpec, ScenarioSpec
 
@@ -51,6 +62,37 @@ STRATEGY_ORDER = (
 #: full candidate execution; the greedy restart loop converges long before
 #: this on every known finding — it is a runaway guard, not a tuning knob).
 DEFAULT_MAX_ATTEMPTS = 160
+
+
+class VerdictMemo:
+    """The verdict of every run one hunt (or one shrink) has executed.
+
+    A drop-in for :func:`~repro.fuzz.classify.classify_candidate`: each
+    distinct ``(candidate, seed, over_bound)`` executes once, later calls
+    return the stored verdict.  It lives exactly as long as its owner — a
+    memo that outlived the hunt would replay verdicts of code or inputs
+    the caller no longer runs.
+    """
+
+    def __init__(self) -> None:
+        self._verdicts: Dict[Tuple[FuzzCandidate, int, str], Verdict] = {}
+        #: Distinct executions (memo misses).
+        self.runs = 0
+        #: Calls answered from the memo.
+        self.reused = 0
+
+    def __call__(
+        self, candidate: FuzzCandidate, seed: int, *, over_bound: str = "never"
+    ) -> Verdict:
+        key = (candidate, seed, over_bound)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = classify_candidate(candidate, seed, over_bound=over_bound)
+            self._verdicts[key] = verdict
+            self.runs += 1
+        else:
+            self.reused += 1
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -160,12 +202,16 @@ def shrink_candidate(
     fuzz_seed: int,
     over_bound: str = "never",
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    memo: Optional[VerdictMemo] = None,
 ) -> ShrinkResult:
     """Greedily minimize ``candidate`` while the finding ``kind`` persists.
 
     ``over_bound`` must match the mode the finding was discovered under —
     it decides whether bound-rejected models execute on boundary
     parameters or classify as (non-reproducing) inadmissible rows.
+    ``memo`` is the caller's hunt-scoped :class:`VerdictMemo`; without one
+    the shrink gets its own.  ``attempts`` counts proposals either way, so
+    it does not depend on how many of them the memo answered.
     """
     from repro.fuzz.classify import FINDING_KINDS
 
@@ -176,9 +222,11 @@ def shrink_candidate(
     ops: list = []
     steps: list = []
     attempts = 0
+    if memo is None:
+        memo = VerdictMemo()
 
     def reproduces(proposal: FuzzCandidate) -> bool:
-        verdict = classify_candidate(
+        verdict = memo(
             proposal,
             candidate_seed(fuzz_seed, proposal),
             over_bound=over_bound,

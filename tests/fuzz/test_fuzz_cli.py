@@ -52,22 +52,22 @@ def test_keyboard_interrupt_exits_130_and_keeps_state(
 ):
     """Ctrl-C mid-loop: exit 130, checkpoint retained, resume completes."""
     out = tmp_path / "findings.jsonl"
-    import repro.fuzz.runner as runner_mod
+    import repro.fuzz.classify as classify_mod
 
-    real_classify = runner_mod.classify_candidate
+    real_execute = classify_mod.execute_candidate
     calls = {"n": 0}
 
     def interrupting(*args, **kwargs):
         calls["n"] += 1
         if calls["n"] > 3:
             raise KeyboardInterrupt
-        return real_classify(*args, **kwargs)
+        return real_execute(*args, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "classify_candidate", interrupting)
+    monkeypatch.setattr(classify_mod, "execute_candidate", interrupting)
     assert main(run_args(out)) == 130
     assert "resume" in capsys.readouterr().err
     assert (tmp_path / "findings.jsonl.state").exists()
-    monkeypatch.setattr(runner_mod, "classify_candidate", real_classify)
+    monkeypatch.setattr(classify_mod, "execute_candidate", real_execute)
     assert main(run_args(out, "--resume")) == 0
 
 
@@ -117,3 +117,35 @@ def test_fail_on_finding_gates_ci(tmp_path, corpus):
         "--quiet", "--fail-on-finding",
     ])
     assert code == 0
+
+
+def test_fail_on_finding_judges_the_whole_corpus_after_resume(
+    tmp_path, capsys
+):
+    """A resumed session fails the gate on findings it carried over."""
+
+    def gate(out, *extra):
+        return [
+            "fuzz", "run", "--seed", "7", "--budget", "24", "--out", str(out),
+            *OVER_BOUND_ARGS, "--fail-on-finding", *extra,
+        ]
+
+    out = tmp_path / "resumed-gate.jsonl"
+    assert main(gate(out, "--stop-after", "21")) == 3
+    carried = len(out.read_text().splitlines())
+    assert carried > 0, "the interrupted session must leave findings"
+    capsys.readouterr()
+    assert main(gate(out, "--resume")) == 1
+    err = capsys.readouterr().err
+    assert f"{carried} finding(s)" in err
+    assert f"({carried} carried over)" in err
+    undisturbed = tmp_path / "undisturbed.jsonl"
+    assert main(gate(undisturbed)) == 1
+    assert out.read_bytes() == undisturbed.read_bytes()
+
+
+def test_summary_line_reports_runs_and_reuse(tmp_path, capsys):
+    out = tmp_path / "observed.jsonl"
+    assert main(run_args(out)) == 0
+    err = capsys.readouterr().err
+    assert " run(s) incl. shrinking, " in err and " reused)" in err
