@@ -87,7 +87,11 @@ class FLVFunction(abc.ABC):
     @property
     @abc.abstractmethod
     def requirements(self) -> FLVRequirements:
-        """Static requirements/uses of this instantiation."""
+        """Static requirements/uses of this instantiation.
+
+        Concrete classes bind it as a class constant (``requirements =
+        FLVRequirements(...)``): it never varies per instance.
+        """
 
     @abc.abstractmethod
     def evaluate(

@@ -43,17 +43,14 @@ class FLVClass1(FLVFunction):
     """Algorithm 2: vote-only locked-value detection."""
 
     name = "flv-class1"
+    requirements = FLVRequirements(
+        uses_ts=False,
+        uses_history=False,
+        supports_prel_liveness=True,
+    )
 
     def __init__(self, model: FaultModel, threshold: int) -> None:
         super().__init__(model, threshold)
-
-    @property
-    def requirements(self) -> FLVRequirements:
-        return FLVRequirements(
-            uses_ts=False,
-            uses_history=False,
-            supports_prel_liveness=True,
-        )
 
     def satisfies_liveness_bound(self) -> bool:
         """True iff ``TD > (n + 3b + f)/2`` (Theorem 2's liveness condition)."""

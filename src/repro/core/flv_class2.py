@@ -62,11 +62,11 @@ def survivors(
     """
     kept = []
     for message in messages:
-        support = sum(
-            1
-            for other in messages
-            if other.vote == message.vote or message.ts > other.ts
-        )
+        vote, ts = message.vote, message.ts
+        support = 0
+        for other in messages:
+            if other.vote == vote or ts > other.ts:
+                support += 1
         if support > slack:
             kept.append(message)
     return kept
@@ -76,14 +76,11 @@ class FLVClass2(FLVFunction):
     """Algorithm 3: vote + timestamp locked-value detection."""
 
     name = "flv-class2"
-
-    @property
-    def requirements(self) -> FLVRequirements:
-        return FLVRequirements(
-            uses_ts=True,
-            uses_history=False,
-            supports_prel_liveness=True,
-        )
+    requirements = FLVRequirements(
+        uses_ts=True,
+        uses_history=False,
+        supports_prel_liveness=True,
+    )
 
     def satisfies_liveness_bound(self) -> bool:
         """True iff ``TD > 3b + f`` (Theorem 3's liveness condition)."""

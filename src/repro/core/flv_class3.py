@@ -54,6 +54,12 @@ class FLVClass3(FLVFunction):
     """Algorithm 4: vote + timestamp + history locked-value detection."""
 
     name = "flv-class3"
+    requirements = FLVRequirements(
+        uses_ts=True,
+        uses_history=True,
+        supports_prel_liveness=False,
+        needs_strong_selector_validity=True,
+    )
 
     def __init__(
         self, model: FaultModel, threshold: int, *, ensure_unanimity: bool = True
@@ -66,15 +72,6 @@ class FLVClass3(FLVFunction):
     def ensure_unanimity(self) -> bool:
         """Whether the unanimity branch (lines 8-9) is active."""
         return self._ensure_unanimity
-
-    @property
-    def requirements(self) -> FLVRequirements:
-        return FLVRequirements(
-            uses_ts=True,
-            uses_history=True,
-            supports_prel_liveness=False,
-            needs_strong_selector_validity=True,
-        )
 
     def satisfies_liveness_bound(self) -> bool:
         """True iff ``TD > 2b + f`` (Theorem 4's liveness condition)."""

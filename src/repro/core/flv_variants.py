@@ -46,15 +46,12 @@ class FaBPaxosFLV(FLVFunction):
     """
 
     name = "flv-fab-paxos"
+    requirements = FLVRequirements(
+        uses_ts=False, uses_history=False, supports_prel_liveness=True
+    )
 
     def __init__(self, model: FaultModel, threshold: int | None = None) -> None:
         super().__init__(model, threshold or fab_paxos_threshold(model))
-
-    @property
-    def requirements(self) -> FLVRequirements:
-        return FLVRequirements(
-            uses_ts=False, uses_history=False, supports_prel_liveness=True
-        )
 
     def evaluate(
         self, messages: Sequence[SelectionMessage], phase: int = 0
@@ -87,17 +84,14 @@ class PaxosFLV(FLVFunction):
     """
 
     name = "flv-paxos"
+    requirements = FLVRequirements(
+        uses_ts=True, uses_history=False, supports_prel_liveness=True
+    )
 
     def __init__(self, model: FaultModel, threshold: int | None = None) -> None:
         if model.b != 0:
             raise ValueError("PaxosFLV assumes the benign model (b = 0)")
         super().__init__(model, threshold or paxos_threshold(model))
-
-    @property
-    def requirements(self) -> FLVRequirements:
-        return FLVRequirements(
-            uses_ts=True, uses_history=False, supports_prel_liveness=True
-        )
 
     def evaluate(
         self, messages: Sequence[SelectionMessage], phase: int = 0
@@ -133,18 +127,15 @@ class PBFTFLV(FLVFunction):
     """
 
     name = "flv-pbft"
+    requirements = FLVRequirements(
+        uses_ts=True,
+        uses_history=True,
+        supports_prel_liveness=False,
+        needs_strong_selector_validity=True,
+    )
 
     def __init__(self, model: FaultModel, threshold: int | None = None) -> None:
         super().__init__(model, threshold or pbft_threshold(model))
-
-    @property
-    def requirements(self) -> FLVRequirements:
-        return FLVRequirements(
-            uses_ts=True,
-            uses_history=True,
-            supports_prel_liveness=False,
-            needs_strong_selector_validity=True,
-        )
 
     def evaluate(
         self, messages: Sequence[SelectionMessage], phase: int = 0
@@ -177,12 +168,9 @@ class BenOrFLV(FLVFunction):
     """
 
     name = "flv-ben-or"
-
-    @property
-    def requirements(self) -> FLVRequirements:
-        return FLVRequirements(
-            uses_ts=True, uses_history=False, supports_prel_liveness=True
-        )
+    requirements = FLVRequirements(
+        uses_ts=True, uses_history=False, supports_prel_liveness=True
+    )
 
     def evaluate(
         self, messages: Sequence[SelectionMessage], phase: int = 0

@@ -11,7 +11,8 @@ and first-selection-round suppression).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
 from repro.core.state import ConsensusState
@@ -109,8 +110,45 @@ class RoundStructure:
         return total
 
 
+@lru_cache(maxsize=64)
+def shared_structure(flag: Flag, skip_first_selection: bool) -> RoundStructure:
+    """One :class:`RoundStructure` per (flag, skip) pair.
+
+    Structures are immutable after construction, and campaign sweeps build
+    thousands of instances with the same two parameters — sharing also keeps
+    the round-info memo warm across runs.
+    """
+    return RoundStructure(flag, skip_first_selection=skip_first_selection)
+
+
+class SelectionMemo:
+    """The last selection inbox one instance's honest processes evaluated.
+
+    A ``Pcons`` round hands every correct receiver the *same* inbox object,
+    so the first receiver parses it and runs FLV and the others reuse both
+    (FLV depends only on the messages and the phase, and every honest
+    process of an instance shares one FLV).  A hit needs the identical
+    object in the same round; holding the reference keeps its id from
+    being recycled.  One memo belongs to one instance — never shared
+    across instances, never module-level.
+    """
+
+    __slots__ = ("inbox", "round", "messages", "result")
+
+    def __init__(self) -> None:
+        self.inbox: Optional[Inbound] = None
+        self.round: Round = 0
+        self.messages: Sequence[SelectionMessage] = ()
+        self.result: object = NULL_VALUE
+
+
 class GenericConsensusProcess(RoundProcess):
-    """One honest process executing Algorithm 1."""
+    """One honest process executing Algorithm 1.
+
+    ``memo`` is the instance's shared :class:`SelectionMemo`
+    (:func:`~repro.engine.assembly.build_instance` gives one to all honest
+    processes of a run); a process built on its own gets a private one.
+    """
 
     def __init__(
         self,
@@ -118,16 +156,26 @@ class GenericConsensusProcess(RoundProcess):
         initial_value: Value,
         parameters: ConsensusParameters,
         config: Optional[GenericConsensusConfig] = None,
+        *,
+        memo: Optional[SelectionMemo] = None,
     ) -> None:
         self.pid = pid
         self.parameters = parameters
         self.config = config or GenericConsensusConfig()
         self.state = ConsensusState.initial(initial_value)  # lines 2-4
-        self.structure = RoundStructure(
-            parameters.flag,
-            skip_first_selection=self.config.skip_first_selection,
+        self.structure = shared_structure(
+            parameters.flag, self.config.skip_first_selection
         )
         self._static_selector = self.config.uses_static_selector(parameters.selector)
+        self._memo = memo if memo is not None else SelectionMemo()
+        # Run constants, bound once: which selection fields FLV reads,
+        # whether decisions count only this phase's votes, and the
+        # broadcast destinations.
+        requirements = parameters.flv.requirements
+        self._uses_ts = requirements.uses_ts
+        self._uses_history = requirements.uses_history
+        self._phase_gated = parameters.flag is Flag.CURRENT_PHASE
+        self._everyone = tuple(parameters.model.processes)
         # Per-phase working variables (reset at each selection round).
         self._selected: object = NULL_VALUE
         self._validators: frozenset = frozenset()
@@ -168,33 +216,42 @@ class GenericConsensusProcess(RoundProcess):
     def _send_selection(self, info: RoundInfo) -> Outbound:
         # Line 7: send ⟨vote, ts, history, Selector(p, φ)⟩ to Selector(p, φ).
         suggestion = self.parameters.selector.select(self.pid, info.phase)
-        requirements = self.parameters.flv.requirements
         message = SelectionMessage(
             vote=self.state.vote,
             # Fields an instantiation does not use are elided (sent as their
             # initial value) — Section 3.1's remark that ts/history "can be
             # ignored in some instantiations".
-            ts=self.state.ts if requirements.uses_ts else 0,
+            ts=self.state.ts if self._uses_ts else 0,
             history=(
                 frozenset(self.state.history)
-                if requirements.uses_history
+                if self._uses_history
                 else frozenset()
             ),
             selector=frozenset() if self._static_selector else suggestion,
         )
-        return {dest: message for dest in suggestion}
+        return dict.fromkeys(suggestion, message)
 
     def _recv_selection(self, info: RoundInfo, received: Inbound) -> None:
         phase = info.phase
-        messages = []
-        append = messages.append
-        for payload in received.values():
-            parsed = coerce_selection_message(payload)
-            if parsed is not None:
-                append(parsed)
+        memo = self._memo
+        if memo.inbox is received and memo.round == info.number:
+            # Another honest receiver already evaluated this shared inbox.
+            messages = memo.messages
+            selected = memo.result
+        else:
+            messages = []
+            append = messages.append
+            for payload in received.values():
+                parsed = coerce_selection_message(payload)
+                if parsed is not None:
+                    append(parsed)
+            # Line 9: select ← FLV(μ).
+            selected = self.parameters.flv.evaluate(messages, phase)
+            memo.inbox = received
+            memo.round = info.number
+            memo.messages = messages
+            memo.result = selected
 
-        # Line 9: select ← FLV(μ).
-        selected = self.parameters.flv.evaluate(messages, phase)
         if selected is ANY_VALUE:
             # Line 11 — deterministic choice among received votes; replaced
             # by a coin in the randomized adaptation (Section 6).
@@ -220,7 +277,9 @@ class GenericConsensusProcess(RoundProcess):
         else:
             self._validators = frozenset()
 
-    def _find_selector_quorum(self, messages: List[SelectionMessage]) -> frozenset:
+    def _find_selector_quorum(
+        self, messages: Sequence[SelectionMessage]
+    ) -> frozenset:
         counts: Dict[frozenset, int] = {}
         for message in messages:
             counts[message.selector] = counts.get(message.selector, 0) + 1
@@ -249,7 +308,7 @@ class GenericConsensusProcess(RoundProcess):
             select=self._selected,
             validators=frozenset() if self._static_selector else self._validators,
         )
-        return {dest: message for dest in self.parameters.model.processes}
+        return dict.fromkeys(self._everyone, message)
 
     def _recv_validation(self, info: RoundInfo, received: Inbound) -> None:
         phase = info.phase
@@ -303,13 +362,13 @@ class GenericConsensusProcess(RoundProcess):
         # Line 29: send ⟨vote, ts⟩ to all.
         message = DecisionMessage(
             vote=self.state.vote,
-            ts=self.state.ts if self.parameters.flag is Flag.CURRENT_PHASE else 0,
+            ts=self.state.ts if self._phase_gated else 0,
         )
-        return {dest: message for dest in self.parameters.model.processes}
+        return dict.fromkeys(self._everyone, message)
 
     def _recv_decision(self, info: RoundInfo, received: Inbound) -> None:
         phase = info.phase
-        phase_gated = self.parameters.flag is Flag.CURRENT_PHASE
+        phase_gated = self._phase_gated
         counts: Dict[Value, int] = {}
         counts_get = counts.get
         for payload in received.values():

@@ -12,30 +12,23 @@ identical under every timing discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.parameters import ConsensusParameters, GenericConsensusConfig
-from repro.core.process import GenericConsensusProcess, RoundStructure
-from repro.core.types import Decision, Flag, ProcessId, RoundInfo, Value
+from repro.core.process import (
+    GenericConsensusProcess,
+    RoundStructure,
+    SelectionMemo,
+    shared_structure,
+)
+from repro.core.types import Decision, ProcessId, RoundInfo, Value
 from repro.faults.registry import ByzantineSpec, build_byzantine
 from repro.rounds.base import RoundProcess, RunContext
 
 #: Per-process configuration factory (randomized runs give each process an
 #: independent coin, so they cannot share one config object).
 ConfigFactory = Callable[[ProcessId], GenericConsensusConfig]
-
-
-@lru_cache(maxsize=64)
-def _shared_structure(flag: Flag, skip_first_selection: bool) -> RoundStructure:
-    """One :class:`RoundStructure` per (flag, skip) pair.
-
-    Structures are immutable after construction, and campaign sweeps build
-    thousands of instances with the same two parameters — sharing also keeps
-    the round-info memo warm across runs.
-    """
-    return RoundStructure(flag, skip_first_selection=skip_first_selection)
 
 
 @dataclass
@@ -48,6 +41,8 @@ class Instance:
     processes: Dict[ProcessId, RoundProcess]
     initial_values: Dict[ProcessId, Value]
     context: RunContext
+    #: The selection-inbox memo this instance's honest processes share.
+    memo: SelectionMemo = field(default_factory=SelectionMemo, repr=False)
 
     @property
     def honest_processes(self) -> Dict[ProcessId, GenericConsensusProcess]:
@@ -101,7 +96,8 @@ def build_instance(
             f"{len(byzantine)} Byzantine processes exceed b={model.b}"
         )
 
-    structure = _shared_structure(parameters.flag, config.skip_first_selection)
+    structure = shared_structure(parameters.flag, config.skip_first_selection)
+    memo = SelectionMemo()
 
     processes: Dict[ProcessId, RoundProcess] = {}
     initials: Dict[ProcessId, Value] = {}
@@ -117,6 +113,7 @@ def build_instance(
             initial_values[pid],
             parameters,
             config_for(pid) if config_for is not None else config,
+            memo=memo,
         )
 
     context = RunContext(model, byzantine=frozenset(byzantine))
@@ -127,4 +124,5 @@ def build_instance(
         processes=processes,
         initial_values=initials,
         context=context,
+        memo=memo,
     )

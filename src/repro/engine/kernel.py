@@ -129,6 +129,8 @@ class ExecutionKernel:
             for pid in model.processes
             if pid not in self._context.byzantine and pid not in self._crashes.doomed
         )
+        # How many of them have no decision yet — the default stop test.
+        self._correct_undecided = len(self._eventually_correct)
 
     # -- read-only state ---------------------------------------------------
 
@@ -190,6 +192,11 @@ class ExecutionKernel:
         """Honest processes that never crash during this run."""
         return self._eventually_correct
 
+    @property
+    def all_correct_decided(self) -> bool:
+        """True once every eventually-correct process has decided — O(1)."""
+        return self._correct_undecided == 0
+
     # -- the round loop ----------------------------------------------------
 
     def _collect_outbound(self, info: RoundInfo) -> OutboundMatrix:
@@ -246,6 +253,8 @@ class ExecutionKernel:
                 fired.append(decision)
                 self._decisions[pid] = decision
                 del self._undecided[pid]
+                if pid in self._eventually_correct:
+                    self._correct_undecided -= 1
                 if end_time is not None:
                     self._decision_times[pid] = end_time
         return tuple(fired)
@@ -392,10 +401,9 @@ def run_instance(
         telemetry=telemetry,
     )
     if stop_when is None:
-        target = kernel.eventually_correct
 
         def stop_when(k: ExecutionKernel) -> bool:
-            return target <= set(k.decisions)
+            return k.all_correct_decided
 
     kernel.run(
         instance.structure.rounds_for_phases(max_phases), stop_when=stop_when

@@ -124,12 +124,11 @@ class LockstepScheduler(RoundScheduler):
     ) -> RoundDelivery:
         # A policy withholds by omission; each sent edge that did not reach
         # its destination counts as dropped, so sent == delivered + dropped
-        # holds on both scheduler branches.  Exact-delivery policies report
-        # the count themselves (deliver_counted); only policies that cannot
-        # — an oracle enforcing Pcons may also *inject* deliveries, fanning
-        # a sender's canonical payload to audience members it never
-        # addressed — leave it to the edge-exact rescan below, which never
-        # goes negative from such injections.
+        # holds on both scheduler branches.  Counting policies report the
+        # count themselves (deliver_counted); a policy that cannot — a
+        # subclass overriding ``deliver``, or a custom bad behaviour that
+        # may *inject* deliveries — leaves it to the edge-exact rescan
+        # below, which never goes negative from such injections.
         matrix, dropped = self._policy.deliver_counted(info, outbound, ctx)
         if dropped is None:
             dropped = 0

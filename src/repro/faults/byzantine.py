@@ -77,7 +77,7 @@ class ByzantineStrategy(RoundProcess):
         )
 
     def broadcast(self, payload: object) -> Outbound:
-        return {dest: payload for dest in self.everyone}
+        return dict.fromkeys(self.everyone, payload)
 
 
 class SilentByzantine(ByzantineStrategy):
@@ -138,18 +138,25 @@ class Equivocator(ByzantineStrategy):
     def _value_for(self, dest: ProcessId) -> object:
         return self.values[dest % 2]
 
-    def send(self, info: RoundInfo) -> Outbound:
-        out: Dict[ProcessId, object] = {}
+    def _payload(self, info: RoundInfo, value: object) -> object:
         phase = info.phase
+        if info.kind is RoundKind.SELECTION:
+            history = frozenset({(value, 0), (value, max(phase - 1, 0))})
+            return self.selection_payload(value, max(phase - 1, 0), history)
+        if info.kind is RoundKind.VALIDATION:
+            return ValidationMessage(value, self.full_selector)
+        return DecisionMessage(value, phase)
+
+    def send(self, info: RoundInfo) -> Outbound:
+        # One payload per distinct value this round, shared by its receivers.
+        payloads: Dict[object, object] = {}
+        out: Dict[ProcessId, object] = {}
         for dest in self.everyone:
             value = self._value_for(dest)
-            if info.kind is RoundKind.SELECTION:
-                history = frozenset({(value, 0), (value, max(phase - 1, 0))})
-                out[dest] = self.selection_payload(value, max(phase - 1, 0), history)
-            elif info.kind is RoundKind.VALIDATION:
-                out[dest] = ValidationMessage(value, self.full_selector)
-            else:
-                out[dest] = DecisionMessage(value, phase)
+            payload = payloads.get(value)
+            if payload is None:
+                payload = payloads[value] = self._payload(info, value)
+            out[dest] = payload
         return out
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Set
+from typing import Dict, FrozenSet, Mapping, Optional, Set
 
 from repro.core.types import FaultModel, ProcessId, RoundInfo
 
@@ -39,7 +39,12 @@ class RoundProcess(abc.ABC):
 
     @abc.abstractmethod
     def receive(self, info: RoundInfo, received: Inbound) -> None:
-        """The transition function ``T_p^r`` applied to this round's vector."""
+        """The transition function ``T_p^r`` applied to this round's vector.
+
+        ``received`` is read-only: a ``Pcons`` round hands every correct
+        receiver the *same* dict object, so a process that wants to keep
+        or edit its inbox must copy it first.
+        """
 
 
 @dataclass
@@ -48,13 +53,20 @@ class RunContext:
 
     Tracks which processes are Byzantine (fixed for the run) and which have
     crashed so far (grows during the run); the set of *currently correct*
-    processes is derived from both.  Policies use it to decide which
-    deliveries the active communication predicate obliges them to perform.
+    processes is derived from both (grow ``crashed`` only through
+    :meth:`mark_crashed`, which keeps that derived set current).  Policies
+    use it to decide which deliveries the active communication predicate
+    obliges them to perform.
     """
 
     model: FaultModel
     byzantine: FrozenSet[ProcessId] = frozenset()
     crashed: Set[ProcessId] = field(default_factory=set)
+    #: ``correct``, built on first use and dropped when :meth:`mark_crashed`
+    #: changes it.
+    _correct: Optional[FrozenSet[ProcessId]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         if len(self.byzantine) > self.model.b:
@@ -75,11 +87,12 @@ class RunContext:
     @property
     def correct(self) -> FrozenSet[ProcessId]:
         """Honest processes that have not crashed (so far)."""
-        return frozenset(
-            pid
-            for pid in self.model.processes
-            if pid not in self.byzantine and pid not in self.crashed
-        )
+        correct = self._correct
+        if correct is None:
+            correct = self._correct = frozenset(self.model.processes).difference(
+                self.byzantine, self.crashed
+            )
+        return correct
 
     def mark_crashed(self, pid: ProcessId) -> None:
         """Record a crash; crashing a Byzantine process is a no-op."""
@@ -90,6 +103,7 @@ class RunContext:
                 f"crashing {pid} would exceed f={self.model.f} crash faults"
             )
         self.crashed.add(pid)
+        self._correct = None
 
     def is_faulty(self, pid: ProcessId) -> bool:
         """True for Byzantine or crashed processes."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import AbstractSet, Callable, Iterable, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.core.types import ProcessId, RoundInfo, RoundKind
 from repro.rounds.base import DeliveryMatrix, OutboundMatrix, RunContext
@@ -73,8 +73,12 @@ def enforce_pcons(outbound: OutboundMatrix, ctx: RunContext) -> DeliveryMatrix:
 
     Correct receivers addressed by at least one correct sender all receive
     the same vector; each sender contributes a single canonical payload
-    (equivocation by Byzantine senders is collapsed).  Byzantine receivers
-    still see the raw traffic addressed to them.
+    (equivocation by Byzantine senders is collapsed).  The vector is built
+    once and every audience member's entry is that *same* dict object —
+    inboxes are read-only (see :meth:`~repro.rounds.base.RoundProcess.receive`),
+    and honest receivers evaluate a shared inbox once per round.  Byzantine
+    receivers still see the raw traffic addressed to them, in dicts of
+    their own.
     """
     correct = ctx.correct
     audience: Set[ProcessId] = set()
@@ -88,26 +92,48 @@ def enforce_pcons(outbound: OutboundMatrix, ctx: RunContext) -> DeliveryMatrix:
             audience = set(correct)
             break
         audience.update(dest for dest in messages if dest in correct)
+    if not audience:
+        matrix: DeliveryMatrix = {}
+        deliver_to_byzantine(matrix, outbound, ctx)
+        return matrix
 
-    matrix: DeliveryMatrix = {receiver: {} for receiver in audience}
-    min_audience = min(audience) if audience else None
+    shared: Dict[ProcessId, object] = {}
+    min_audience = min(audience)
     for sender, messages in outbound.items():
-        if not messages or not audience:
+        if not messages:
             continue
         if min_audience in messages:
             # Broadcasts always address the lowest-id audience member.
-            canonical = messages[min_audience]
-        else:
-            canonical_dest = min(
-                (dest for dest in messages if dest in audience), default=None
-            )
-            if canonical_dest is None:
-                continue
-            canonical = messages[canonical_dest]
-        for inbox in matrix.values():
-            inbox[sender] = canonical
+            shared[sender] = messages[min_audience]
+            continue
+        canonical_dest = min(
+            (dest for dest in messages if dest in audience), default=None
+        )
+        if canonical_dest is not None:
+            shared[sender] = messages[canonical_dest]
+    matrix = dict.fromkeys(audience, shared)
     deliver_to_byzantine(matrix, outbound, ctx)
     return matrix
+
+
+def pcons_dropped(outbound: OutboundMatrix, matrix: DeliveryMatrix) -> int:
+    """Exact withheld-edge count of an :func:`enforce_pcons` matrix.
+
+    Every edge into an audience member arrives (its sender addresses the
+    audience, so it has a canonical payload in the shared vector) and every
+    edge into a Byzantine receiver arrives raw; every other receiver — a
+    crashed process, or one no correct sender addressed — is absent from
+    the matrix.  So a sent edge is dropped iff its destination is not a
+    matrix key, and the count is one key-set difference per sender — equal
+    to the scheduler's edge-exact rescan, without touching any inbox.
+    """
+    receivers = matrix.keys()
+    dropped = 0
+    for messages in outbound.values():
+        keys = messages.keys()
+        if not keys <= receivers:
+            dropped += len(keys - receivers)
+    return dropped
 
 
 def enforce_pgood(outbound: OutboundMatrix, ctx: RunContext) -> DeliveryMatrix:
@@ -154,9 +180,9 @@ class DeliveryPolicy(abc.ABC):
         ``None`` when it cannot be counted here — the lockstep scheduler
         then falls back to an edge-exact O(edges) rescan of the outbound
         matrix.  Policies whose matrix is an exact subset of the sent
-        edges (no injection — only an oracle enforcing ``Pcons`` ever
-        injects deliveries) count ``sent − delivered`` in O(n) instead,
-        via :meth:`_count_dropped`.
+        edges count ``sent − delivered`` in O(n) instead, via
+        :meth:`_count_dropped`; ``Pcons`` rounds, whose oracle may also
+        inject deliveries, count with :func:`pcons_dropped`.
         """
         matrix = self.deliver(info, outbound, ctx)
         # Class-level access on both sides: instance access would bind the
@@ -193,9 +219,7 @@ class ReliablePolicy(DeliveryPolicy):
 
     def _count_dropped(self, info, outbound, matrix, ctx) -> Optional[int]:
         if info.kind in self._pcons_kinds:
-            # The Pcons oracle may withhold *and* inject; edge-exact
-            # accounting needs the scheduler's rescan.
-            return None
+            return pcons_dropped(outbound, matrix)
         # Pgood rounds deliver faithfully: every sent edge arrives.
         return 0
 
@@ -307,8 +331,9 @@ class GoodBadPolicy(DeliveryPolicy):
 
     def _count_dropped(self, info, outbound, matrix, ctx) -> Optional[int]:
         if self._schedule.is_good(info.number):
-            # Pcons may inject (rescan); Pgood delivers faithfully.
-            return None if info.kind in self._pcons_kinds else 0
+            if info.kind in self._pcons_kinds:
+                return pcons_dropped(outbound, matrix)
+            return 0  # Pgood delivers faithfully.
         if getattr(self._bad, "exact_subset", False):
             return count_edges(outbound) - count_edges(matrix)
         # A custom behaviour may inject; leave counting to the scheduler.

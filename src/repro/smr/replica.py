@@ -9,9 +9,11 @@ committed and applied everywhere, decided-but-different proposals return to
 the queue.
 
 This reproduces the context of Section 5.3 ("Paxos and PBFT solve a
-sequence of instances of consensus — state machine replication") and powers
-``benchmarks/bench_smr.py`` and the ``examples/replicated_kv_store.py``
-example.
+sequence of instances of consensus — state machine replication") one slot
+at a time, with replica-specific proposals.  The served workload —
+batching, pipelining, open-loop load — is :func:`repro.smr.serve.run_serve`,
+which ``benchmarks/bench_smr.py``, ``examples/replicated_kv_store.py`` and
+``repro smr serve`` use; no other library module builds on this class.
 """
 
 from __future__ import annotations

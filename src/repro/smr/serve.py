@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -246,7 +247,6 @@ class ServeReport:
             "rejected": self.rejected,
             "stalled": self.stalled,
             "simulated_duration": round(self.simulated_duration, 6),
-            "throughput": round(self.throughput, 2),
             "digests_agree": self.digests_agree,
             "digest": self.digest,
             "log_digest": self.log_digest,
@@ -256,19 +256,39 @@ class ServeReport:
             row[f"latency_{column}"] = (
                 round(value, 6) if value is not None else None
             )
-        # Wall time is volatile (machine-dependent); keep it out of the
-        # canonical columns the sweep JSONL is compared on.
+        # Wall time and the throughput derived from it are volatile
+        # (machine-dependent); keep them out of the canonical columns the
+        # sweep JSONL is compared on.
         row["_wall_seconds"] = round(self.wall_seconds, 6)
+        row["_throughput"] = round(self.throughput, 2)
         return row
 
 
-def _log_digest(log: ReplicatedLog) -> str:
-    """SHA-256 over the committed prefix's flattened command sequence."""
+def _log_digest(entries: Iterable[LogEntry]) -> str:
+    """SHA-256 over a committed prefix's flattened command sequence."""
     digest = hashlib.sha256()
-    for entry in log.committed_prefix():
+    for entry in entries:
         for command in entry.command:
             digest.update(repr(command).encode("utf-8"))
     return digest.hexdigest()
+
+
+def _log_digests(logs: Iterable[ReplicatedLog]) -> set:
+    """The distinct log digests of the honest replicas.
+
+    The serve loop commits one :class:`LogEntry` object per slot to every
+    replica, so the committed prefixes normally hold the *identical*
+    entries; then one hash covers them all.  Otherwise each log is hashed
+    on its own.
+    """
+    prefixes = [list(log.committed_prefix()) for log in logs]
+    if prefixes and all(
+        len(prefix) == len(prefixes[0])
+        and all(map(operator.is_, prefix, prefixes[0]))
+        for prefix in prefixes
+    ):
+        return {_log_digest(prefixes[0])}
+    return {_log_digest(prefix) for prefix in prefixes}
 
 
 # ------------------------------------------------------------------ serve
@@ -390,14 +410,19 @@ def run_serve(
     workload = workload if workload is not None else WorkloadSpec()
     stream = iter(arrivals if arrivals is not None else workload.arrivals())
     runner = _SlotRunner(config, telemetry)
-    honest = [
+    honest = tuple(
         pid for pid in runner.model.processes if pid not in runner.byzantine
-    ]
+    )
     machines: Dict[int, StateMachine] = {pid: machine_factory() for pid in honest}
     logs: Dict[int, ReplicatedLog] = {pid: ReplicatedLog() for pid in honest}
+    replicas = [(logs[pid], machines[pid]) for pid in honest]
+    bytes_cap = config.batch_bytes
 
     pending: deque = deque()  # arrived, not yet batched: (arrival, command)
-    in_flight: Dict[int, Tuple[float, Command, List[float], Optional[int]]] = {}
+    # Deciding slots: slot → (batch, arrival times, phases), plus a heap of
+    # (commit_time, slot) completions — the earliest is always heap[0].
+    in_flight: Dict[int, Tuple[Command, List[float], Optional[int]]] = {}
+    completions: List[Tuple[float, int]] = []
     decided: Dict[int, Tuple[Command, List[float], Optional[int]]] = {}
     clock = 0.0
     next_slot = 0
@@ -417,17 +442,14 @@ def run_serve(
             size = 0
             while pending and len(commands) < config.batch:
                 arrived, command = pending[0]
-                cost = len(repr(command))
-                if (
-                    commands
-                    and config.batch_bytes is not None
-                    and size + cost > config.batch_bytes
-                ):
-                    break
+                if bytes_cap is not None:
+                    cost = len(repr(command))
+                    if commands and size + cost > bytes_cap:
+                        break
+                    size += cost
                 pending.popleft()
                 commands.append(command)
                 arrival_times.append(arrived)
-                size += cost
             batch = tuple(commands)
             duration, phases, ok = runner.run(next_slot, batch)
             if not ok:
@@ -437,21 +459,14 @@ def run_serve(
             telemetry.count("smr.slots")
             telemetry.count("smr.commands", len(batch))
             telemetry.observe("smr.batch_size", float(len(batch)))
-            in_flight[next_slot] = (clock + duration, batch, arrival_times, phases)
+            in_flight[next_slot] = (batch, arrival_times, phases)
+            heapq.heappush(completions, (clock + duration, next_slot))
             next_slot += 1
 
-        commit_slot: Optional[int] = None
-        if in_flight:
-            commit_slot = min(
-                in_flight, key=lambda slot: (in_flight[slot][0], slot)
-            )
         arrival_due = (
             next_arrival is not None
             and not stalled
-            and (
-                commit_slot is None
-                or next_arrival[0] <= in_flight[commit_slot][0]
-            )
+            and (not completions or next_arrival[0] <= completions[0][0])
         )
         if arrival_due:
             when, command = next_arrival  # type: ignore[misc]
@@ -460,22 +475,21 @@ def run_serve(
             offered += 1
             next_arrival = next(stream, None)
             continue
-        if commit_slot is None:
+        if not completions:
             break  # nothing deciding, nothing arriving (or stalled dry)
         # Commit: pop the earliest completion; decide order may be
         # out-of-order in the slot index, so buffer and apply the
         # contiguous prefix only.
-        commit_time, batch, arrival_times, phases = in_flight.pop(commit_slot)
+        commit_time, commit_slot = heapq.heappop(completions)
         clock = max(clock, commit_time)
-        decided[commit_slot] = (batch, arrival_times, phases)
+        decided[commit_slot] = in_flight.pop(commit_slot)
         while apply_slot in decided:
             applied_batch, applied_arrivals, applied_phases = decided.pop(
                 apply_slot
             )
             entry = LogEntry(apply_slot, applied_batch, phases=applied_phases)
-            for pid in honest:
-                logs[pid].commit(entry)
-                machine = machines[pid]
+            for log, machine in replicas:
+                log.commit(entry)
                 for command in applied_batch:
                     machine.apply(command)
             for arrived in applied_arrivals:
@@ -486,7 +500,7 @@ def run_serve(
 
     wall_seconds = perf_counter() - wall_start
     digests = {machine.digest() for machine in machines.values()}
-    log_digests = {_log_digest(log) for log in logs.values()}
+    log_digests = _log_digests(logs.values())
     latency: Dict[str, float] = {}
     if LATENCY_HISTOGRAM in telemetry.histogram_names:
         latency = telemetry.histogram_stats(LATENCY_HISTOGRAM)

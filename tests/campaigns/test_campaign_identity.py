@@ -15,6 +15,7 @@ switches backends mid-campaign.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -115,6 +116,25 @@ def test_batch_backend_identical_with_repetitions(slow_baseline):
     scalar = run_campaign(spec, workers=1, backend="scalar")
     batch = run_campaign(spec, workers=4, chunk=8, backend="batch")
     assert canonical(batch) == canonical(scalar)
+
+
+#: sha256 of the canonical JSONL of the gauntlet at 2 repetitions on the
+#: scalar backend, pinned from the implementation whose Pcons rounds were
+#: counted by the scheduler's edge-exact rescan.  The tier identity tests
+#: above compare tiers with each other, so a ``messages_dropped`` miscount
+#: every tier shared would pass them; this pin would not.
+GAUNTLET_SCALAR_SHA256 = (
+    "f1037512c9ba7ba99dfde4e038154d74acb01f603ed0853ba29842fa1345d083"
+)
+
+
+def test_scalar_gauntlet_matches_golden_digest():
+    from repro.campaigns.results import rows_to_jsonl
+
+    spec = dataclasses.replace(GAUNTLET, repetitions=2)
+    rows = run_campaign(spec, workers=1, backend="scalar")
+    data = rows_to_jsonl(rows).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == GAUNTLET_SCALAR_SHA256
 
 
 def test_resume_with_backend_switched(slow_baseline):

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.types import FaultModel, RoundInfo, RoundKind
+from repro.engine.scheduler import LockstepScheduler
 from repro.rounds.base import RunContext
 from repro.rounds.policies import (
     AsyncPrelPolicy,
@@ -225,11 +228,6 @@ class TestDeliverCounted:
         assert dropped == 0
         assert sum(map(len, matrix.values())) == 16
 
-    def test_reliable_pcons_defers_to_rescan(self):
-        _, dropped = ReliablePolicy().deliver_counted(
-            SEL, all_to_all(4, lambda s: f"m{s}"), ctx_for()
-        )
-        assert dropped is None
 
     def test_exact_subset_policies_count_sent_minus_delivered(self):
         outbound = all_to_all(4, lambda s: f"m{s}")
@@ -266,3 +264,83 @@ class TestDeliverCounted:
             DEC, all_to_all(4, lambda s: f"m{s}"), ctx_for()
         )
         assert dropped == 0
+
+
+@st.composite
+def pcons_round(draw):
+    """A random selection round: (outbound, ctx).
+
+    Covers Byzantine equivocation (a payload per edge), partial addressing
+    (any sender may address any subset, including nobody), crashed and
+    Byzantine receivers, and — when no correct sender addresses a correct
+    process — an empty audience.
+    """
+    n = draw(st.integers(min_value=2, max_value=6), label="n")
+    b = draw(st.integers(min_value=0, max_value=(n - 1) // 2), label="b")
+    f = draw(st.integers(min_value=0, max_value=n - 1 - b), label="f")
+    pids = st.integers(0, n - 1)
+    byzantine = draw(st.sets(pids, max_size=b), label="byzantine")
+    honest = [pid for pid in range(n) if pid not in byzantine]
+    crashed = draw(
+        st.sets(st.sampled_from(honest), max_size=min(f, len(honest) - 1)),
+        label="crashed",
+    )
+    ctx = RunContext(FaultModel(n, b, f), byzantine=frozenset(byzantine))
+    for pid in crashed:
+        ctx.mark_crashed(pid)
+    outbound = {}
+    for sender in draw(st.sets(pids), label="senders"):
+        dests = draw(st.lists(pids, unique=True), label=f"dests{sender}")
+        if sender in byzantine:
+            outbound[sender] = {
+                dest: f"m{sender}:{draw(st.integers(0, 2))}" for dest in dests
+            }
+        else:
+            outbound[sender] = dict.fromkeys(dests, f"m{sender}")
+    return outbound, ctx
+
+
+class _Rescanned(ReliablePolicy):
+    """Same delivery, counting contract voided: the scheduler rescans."""
+
+    def deliver(self, info, outbound, ctx):
+        return super().deliver(info, outbound, ctx)
+
+
+class TestPconsCounting:
+    """Pcons rounds count their drops exactly, with one shared inbox."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pcons_round())
+    def test_pcons_count_equals_the_edge_exact_rescan(self, case):
+        outbound, ctx = case
+        rescan = LockstepScheduler(_Rescanned()).deliver_round(
+            SEL, outbound, ctx
+        )
+        for policy in (
+            ReliablePolicy(),
+            GoodBadPolicy(GoodBadSchedule.always_good()),
+        ):
+            matrix, dropped = policy.deliver_counted(SEL, outbound, ctx)
+            assert dropped is not None
+            assert dropped == rescan.dropped
+            assert matrix == rescan.matrix
+
+    @settings(max_examples=100, deadline=None)
+    @given(pcons_round())
+    def test_audience_shares_one_inbox_byzantine_receivers_do_not(self, case):
+        outbound, ctx = case
+        matrix = enforce_pcons(outbound, ctx)
+        audience = [pid for pid in matrix if pid in ctx.correct]
+        assert len({id(matrix[pid]) for pid in audience}) <= 1
+        for pid in matrix:
+            if pid in ctx.byzantine:
+                assert all(matrix[pid] is not matrix[other] for other in audience)
+
+    def test_empty_audience_counts_every_honest_edge(self):
+        # Only the Byzantine process speaks: no correct sender, no audience.
+        ctx = ctx_for(n=4, b=1, byz={3})
+        outbound = {3: {0: "x", 1: "y", 3: "z"}}
+        matrix, dropped = ReliablePolicy().deliver_counted(SEL, outbound, ctx)
+        assert matrix == {3: {3: "z"}}
+        assert dropped == 2

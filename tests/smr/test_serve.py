@@ -5,10 +5,12 @@ committed command sequence must equal the slot-at-a-time baseline's —
 batching and pipelining are *serving* optimizations, not semantic changes.
 """
 
+import hashlib
 import itertools
 
 import pytest
 
+from repro.campaigns.results import row_to_json
 from repro.scenarios import ScenarioInapplicable
 from repro.smr import (
     CounterMachine,
@@ -277,14 +279,14 @@ class TestSweep:
                                scenarios=("fault-free",))
 
         def canonical(rows):
-            # Wall-clock-derived columns vary run to run; everything else
-            # must be byte-identical at any sweep order.
+            # Wall-clock-derived columns are volatile (``_``-prefixed);
+            # everything else must be byte-identical at any sweep order.
             return sorted(
                 (
                     {
                         key: value
                         for key, value in row.items()
-                        if key != "throughput" and not key.startswith("_")
+                        if not key.startswith("_")
                     }
                     for row in rows
                 ),
@@ -292,3 +294,56 @@ class TestSweep:
             )
 
         assert canonical(forward) == canonical(backward)
+
+    def test_sweep_output_is_byte_identical_on_rerun(self, tmp_path):
+        config = ServeConfig(n=4, b=1, batch=4, depth=2, seed=9)
+        workload = WorkloadSpec(clients=2, rate=40.0, duration=0.5, seed=9)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        for out in (first, second):
+            sweep_serve(config, workload, rates=(20.0, 40.0),
+                        scenarios=("fault-free", "worst_case"), out=out)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_throughput_is_volatile(self):
+        row = _serve("fault-free", batch=8, depth=2).to_row()
+        assert "throughput" not in row
+        assert row["_throughput"] > 0
+
+
+#: Canonical-row sha256 and message/round/retry counters of three short
+#: pbft (4,1,0) serves, pinned from the implementation before the shared
+#: Pcons inbox and the heap-driven serve loop.  Comparing variants with
+#: each other cannot catch a change that moves every variant alike.
+GOLDEN_SERVES = {
+    ("worst_case", "lockstep"): (
+        "4a11231b86466f1fcb9f634f865d5174c109880575da3e0be1c5fd4fbb094ce6",
+        {"smr.messages": 3984, "smr.rounds": 249,
+         "smr.retries": 0, "smr.rejected": 0},
+    ),
+    ("async_then_sync", "lockstep"): (
+        "ffd9404f3606e6f112475526cd2105e8deb8335a0b386c65bba5dd03c2cc2f48",
+        {"smr.messages": 13440, "smr.rounds": 840,
+         "smr.retries": 5, "smr.rejected": 5},
+    ),
+    ("async_then_sync", "timed"): (
+        "ced0681051c4a0f9221f037fa5fe4d1f3ba892d82eed8b739722f23848138755",
+        {"smr.messages": 14208, "smr.rounds": 888,
+         "smr.retries": 9, "smr.rejected": 9},
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario, engine", sorted(GOLDEN_SERVES))
+def test_serve_matches_golden_pin(scenario, engine):
+    config = ServeConfig(
+        algorithm="pbft", n=4, b=1, f=0, scenario=scenario, engine=engine,
+        batch=8, depth=4, seed=3,
+    )
+    report = run_serve(
+        config, WorkloadSpec(clients=2, rate=8.0, duration=60.0, seed=3)
+    )
+    digest, counters = GOLDEN_SERVES[scenario, engine]
+    observed = report.telemetry.counters
+    assert {name: observed.get(name, 0) for name in counters} == counters
+    row = row_to_json(report.to_row()).encode("utf-8")
+    assert hashlib.sha256(row).hexdigest() == digest
